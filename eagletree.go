@@ -243,6 +243,9 @@ func NewWearoutFaults(endurance int, shape, programFactor float64, seed uint64) 
 type (
 	// SSDPolicy orders the controller's single IO queue.
 	SSDPolicy = sched.Policy
+	// SSDGate is the controller side of SSDPolicy.Pop: it reports whether a
+	// request can run now and which wait-class a failure belongs to.
+	SSDGate = sched.Gate
 	// SSDFIFO dispatches in arrival order.
 	SSDFIFO = sched.FIFO
 	// SSDPriority scores requests by tag, type preference and source.

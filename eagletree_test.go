@@ -102,6 +102,75 @@ func TestCustomThreadThroughFacade(t *testing.T) {
 	}
 }
 
+// lifo is an SSD policy built only on exported API: the newest runnable
+// request goes first. It parks nothing, so WakeRequest has nothing to do,
+// and blocked requests can stay in the slice because the gate refuses them
+// until they are unblocked.
+type lifo struct {
+	q    []*Request
+	pops int
+}
+
+var _ SSDPolicy = (*lifo)(nil)
+
+func (*lifo) Name() string              { return "lifo" }
+func (l *lifo) Push(r *Request)         { l.q = append(l.q, r) }
+func (l *lifo) PushBlocked(r *Request)  { l.q = append(l.q, r) }
+func (*lifo) Unblock(*Request)          {}
+func (*lifo) WakeRequest(*Request, int) {}
+func (l *lifo) Len() int                { return len(l.q) }
+func (l *lifo) Pop(_ Time, g SSDGate) *Request {
+	for i := len(l.q) - 1; i >= 0; i-- {
+		if ok, _ := g.Evaluate(l.q[i]); ok {
+			r := l.q[i]
+			l.q = append(l.q[:i], l.q[i+1:]...)
+			l.pops++
+			return r
+		}
+	}
+	return nil
+}
+
+// TestCustomSSDPolicyThroughFacade: a scheduler written outside the module
+// plugs into the controller and serves a write-then-read workload to
+// completion.
+func TestCustomSSDPolicyThroughFacade(t *testing.T) {
+	cfg := SmallConfig()
+	pol := &lifo{}
+	cfg.Controller.Policy = pol
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wrote, read int
+	v := &FuncThread{}
+	v.F = func(ctx *Ctx) {
+		for i := LPN(0); i < 64; i++ {
+			ctx.Write(i)
+		}
+	}
+	v.OnDone = func(ctx *Ctx, r *Request) {
+		switch r.Type {
+		case WriteIO:
+			wrote++
+			ctx.Read(r.LPN)
+		case ReadIO:
+			read++
+		}
+		if ctx.InFlight() == 0 {
+			ctx.Finish()
+		}
+	}
+	s.Add(v)
+	s.Run()
+	if wrote != 64 || read != 64 {
+		t.Fatalf("wrote=%d read=%d, want 64/64", wrote, read)
+	}
+	if pol.pops < 128 || pol.Len() != 0 {
+		t.Fatalf("custom policy popped %d with %d left queued", pol.pops, pol.Len())
+	}
+}
+
 func TestOpenInterfaceThroughFacade(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Controller.OpenInterface = true

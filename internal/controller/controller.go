@@ -219,10 +219,10 @@ type reqState struct {
 	refire   bool // program failed by injection; re-queue instead of finishing
 	busyLUN  int  // LUN whose inflight slot this request holds; -1 when none
 
-	// Readiness caches, validated against the controller epochs. canRun is
-	// invoked once per queued request per dispatch scan, so it must not
-	// repeat mapping lookups or temperature classification whose inputs
-	// cannot have changed since the last scan.
+	// Readiness caches, validated against the controller epochs. Evaluate
+	// runs once per scanned request per dispatch, so it must not repeat
+	// mapping lookups or temperature classification whose inputs cannot
+	// have changed since the last scan.
 	ppaEpoch    uint64 // mapEpoch when ppa/mapped were cached
 	mapped      bool
 	ppa         flash.PPA
@@ -345,13 +345,12 @@ type Controller struct {
 	reqPool      []*iface.Request // recycled controller-internal requests
 	views        []sched.LUNView
 	detectorLive bool // detector state can change classifications (not hotcold.None)
-	canRunFn     func(*iface.Request) bool
 	dispatchFn   func(any)
 	ioDoneFn     func(any)
 	flushFn      func(any)
 
 	// Readiness epochs. Every mutation of a readiness input bumps the
-	// matching epoch, so cached canRun inputs are reused exactly while
+	// matching epoch, so cached Evaluate inputs are reused exactly while
 	// nothing they depend on has changed — dispatch order is identical to
 	// recomputing from scratch, without the per-scan map and LUN traffic.
 	mapEpoch   uint64           // mapper.Map/Unmap calls
@@ -363,8 +362,8 @@ type Controller struct {
 	// always waiting on exactly one thing: its target LUN going idle
 	// (reads, GC/WL/translation ops) or a write stream regaining
 	// allocatable space (application writes). The controller exposes that
-	// structure to class-aware policies as sched.Gate: Evaluate names the
-	// wait-class of a failed request, and ClassToken hands out a token per
+	// structure to the policy as sched.Gate: Evaluate names the wait-class
+	// of a failed request, and ClassToken hands out a token per
 	// class that changes only when the class's blocking condition may have
 	// cleared — lunEpoch[L] for LUN classes (bumped when L's in-flight
 	// operation completes), writeEpoch+tempEpoch for stream classes. The
@@ -375,7 +374,6 @@ type Controller struct {
 	// readWait indexes parked reads by LPN: a remap or unmap of a waiting
 	// read's page can change (or clear) its target LUN without that LUN
 	// ever completing work, so the mapping mutation itself wakes the read.
-	classed  sched.ClassedPolicy
 	lunEpoch []uint64
 	readWait map[iface.LPN][]*iface.Request
 
@@ -452,13 +450,9 @@ func New(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config) (*Co
 		lunEpoch:   make([]uint64, cfg.Geometry.LUNs()),
 		readWait:   make(map[iface.LPN][]*iface.Request),
 	}
-	if cp, ok := cfg.Policy.(sched.ClassedPolicy); ok {
-		c.classed = cp
-	}
 	if _, none := cfg.Detector.(hotcold.None); !none {
 		c.detectorLive = true
 	}
-	c.canRunFn = c.canRun
 	c.dispatchFn = func(any) { c.dispPend = false; c.dispatch() }
 	c.ioDoneFn = c.ioDone
 	c.flushFn = c.flushDone
@@ -688,24 +682,15 @@ func (c *Controller) scheduleDispatch() {
 	c.eng.ScheduleCall(c.eng.Now(), c.dispatchFn, nil)
 }
 
-// dispatch drains the policy queue as far as hardware and space allow.
-// Class-aware policies get the classed gate — they park whole wait-classes
-// off the scan path; everything else gets the plain linear canRun scan.
+// dispatch drains the policy queue as far as hardware and space allow. The
+// controller itself is the policy's Gate, so whole wait-classes park off
+// the scan path.
 //
 //eagletree:hotpath
 func (c *Controller) dispatch() {
-	if cp := c.classed; cp != nil {
-		now := c.eng.Now()
-		for {
-			r := cp.PopClassed(now, c)
-			if r == nil {
-				return
-			}
-			c.execute(r)
-		}
-	}
+	pol, now := c.cfg.Policy, c.eng.Now()
 	for {
-		r := c.cfg.Policy.Pop(c.eng.Now(), c.canRunFn)
+		r := pol.Pop(now, c)
 		if r == nil {
 			return
 		}
@@ -725,13 +710,13 @@ func (c *Controller) lookup(r *iface.Request, st *reqState) (flash.PPA, bool) {
 	return st.ppa, st.mapped
 }
 
-// canRunWrite reports whether some idle LUN could take a write on the
+// streamWritable reports whether some idle LUN could take a write on the
 // stream. The scan result is memoized per stream for the current writeEpoch:
 // with many writes queued, one dispatch scan pays the LUN loop once per
 // stream instead of once per request.
 //
 //eagletree:hotpath
-func (c *Controller) canRunWrite(stream ftl.Stream) bool {
+func (c *Controller) streamWritable(stream ftl.Stream) bool {
 	// writeMemo is sized ftl.NumStreams and LocalityStream clamps groups
 	// into range, so the index cannot overflow.
 	m := &c.writeMemo[stream]
@@ -749,52 +734,8 @@ func (c *Controller) canRunWrite(stream ftl.Stream) bool {
 	return ok
 }
 
-// canRun reports whether a request could be dispatched right now. It is the
-// plain-scan gate for policies without wait-class support.
-//
-//eagletree:hotpath
-func (c *Controller) canRun(r *iface.Request) bool {
-	st := stateOf(r)
-	if st == nil || st.blocked {
-		return false
-	}
-	return c.canRunNow(r, st)
-}
-
-// canRunNow derives readiness from current controller state.
-//
-//eagletree:hotpath
-func (c *Controller) canRunNow(r *iface.Request, st *reqState) bool {
-	switch st.kind {
-	case opTransRead, opTransWrite:
-		return !c.inflight[st.trans.PPA.LUN]
-	case opTransErase:
-		return !c.inflight[st.trans.Block.LUN]
-	case opGCRead, opWLRead, opGCCopyback:
-		return !c.inflight[st.src.LUN]
-	case opGCWrite, opWLWrite:
-		// Migration writes stay on the victim's LUN: the read already
-		// landed there and cross-LUN migration would need a channel hop the
-		// paper's GC does not model.
-		return !c.inflight[st.src.LUN] && c.bm.CanAlloc(st.src.LUN, c.streamOf(r, st))
-	case opGCErase:
-		return !c.inflight[st.src.LUN]
-	}
-	switch r.Type {
-	case iface.Read:
-		ppa, ok := c.lookup(r, st)
-		if !ok {
-			return true // completes immediately as an unmapped read
-		}
-		return !c.inflight[ppa.LUN]
-	case iface.Write:
-		return c.canRunWrite(c.streamOf(r, st))
-	default: // Trim
-		return true
-	}
-}
-
-// Evaluate implements sched.Gate. It answers exactly like canRun and, on
+// Evaluate implements sched.Gate and is the controller's only readiness
+// check: it reports whether a request could be dispatched right now and, on
 // failure, names the wait-class the request should park under: the target
 // LUN's index for LUN-bound operations, LUNs+stream for application writes
 // whose stream has no allocatable idle LUN, or -1 when the failure is not
@@ -802,7 +743,7 @@ func (c *Controller) canRunNow(r *iface.Request, st *reqState) bool {
 //
 // Parking is sound because a class's blocking condition is shared by every
 // member: a LUN class waits on inflight[L], which only ioDone clears (and
-// that bumps lunEpoch[L]); a stream class waits on canRunWrite(s), which is
+// that bumps lunEpoch[L]); a stream class waits on streamWritable(s), which is
 // constant while writeEpoch stands still, under streams that are constant
 // while tempEpoch stands still. Reads are additionally indexed in readWait:
 // a mapping change can retarget a parked read without either token moving,
@@ -831,6 +772,9 @@ func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
 		}
 		return true, -1
 	case opGCWrite, opWLWrite:
+		// Migration writes stay on the victim's LUN: the read already
+		// landed there and cross-LUN migration would need a channel hop the
+		// paper's GC does not model.
 		return !c.inflight[st.src.LUN] && c.bm.CanAlloc(st.src.LUN, c.streamOf(r, st)), -1
 	}
 	switch r.Type {
@@ -850,7 +794,7 @@ func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
 		return false, ppa.LUN
 	case iface.Write:
 		s := c.streamOf(r, st)
-		if c.canRunWrite(s) {
+		if c.streamWritable(s) {
 			return true, -1
 		}
 		if c.detectorLive {
@@ -915,9 +859,7 @@ func (c *Controller) wakeRead(lpn iface.LPN) {
 			continue
 		}
 		st.waitRead = false
-		if c.classed != nil {
-			c.classed.WakeRequest(r, int(st.waitClass))
-		}
+		c.cfg.Policy.WakeRequest(r, int(st.waitClass))
 		st.waitClass = -1
 	}
 }

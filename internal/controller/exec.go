@@ -306,7 +306,7 @@ func (c *Controller) executeData(r *iface.Request, st *reqState) {
 		views := c.lunViews(stream)
 		lun, ok := c.cfg.Alloc.PickLUN(r, views)
 		if !ok {
-			// canRun said yes but the allocator refused (e.g. striped
+			// Evaluate said yes but the allocator refused (e.g. striped
 			// placement with a busy home LUN). Defer until a completion
 			// changes the picture; re-popping immediately would livelock.
 			st.blocked = true
@@ -430,7 +430,7 @@ func (c *Controller) retireBlock(b flash.BlockID) {
 }
 
 // must panics on errors that can only be controller bugs (NAND constraint
-// violations, allocation failures after canRun approved). Failing loudly
+// violations, allocation failures after Evaluate approved). Failing loudly
 // here is deliberate: continuing would silently corrupt every metric the
 // simulator exists to produce.
 func (c *Controller) must(err error, r *iface.Request) {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 // condition (one member's failure proves the whole class undispatchable), a
 // class's token moves whenever its condition may have cleared, and its
 // stable token moves whenever a member's wait may have changed identity.
-// Evaluate agrees exactly with the plain canRun over the same state, so Pop
-// and PopClassed must select identical requests.
+// Evaluate agrees exactly with the plain canRun predicate over the same
+// state, so a policy popped through the gate must select exactly what a
+// reference oracle scanning every queued request under canRun selects.
 type modelGate struct {
 	class   map[uint64]int  // request ID → wait-class; absent = unclassed
 	solo    map[uint64]bool // unclassed requests currently blocked
@@ -84,41 +86,171 @@ func (m *modelGate) forget(id uint64) {
 	delete(m.solo, id)
 }
 
-func classedPairs() [][2]Policy {
-	return [][2]Policy{
-		{&FIFO{}, &FIFO{}},
-		{&Priority{Prefer: PreferReads, Internal: InternalLast}, &Priority{Prefer: PreferReads, Internal: InternalLast}},
-		{&Deadline{ReadDeadline: 50, WriteDeadline: 200}, &Deadline{ReadDeadline: 50, WriteDeadline: 200}},
-		{
-			&Deadline{ReadDeadline: 50, WriteDeadline: 200, MaxConsecutiveOverdue: 2},
-			&Deadline{ReadDeadline: 50, WriteDeadline: 200, MaxConsecutiveOverdue: 2},
-		},
-		{
-			&Deadline{ReadDeadline: 50, InternalDeadline: 400, Fallback: &Priority{Prefer: PreferReads}},
-			&Deadline{ReadDeadline: 50, InternalDeadline: 400, Fallback: &Priority{Prefer: PreferReads}},
-		},
-		{&Fair{Weights: [iface.NumSources]int{2, 1, 1, 1}}, &Fair{Weights: [iface.NumSources]int{2, 1, 1, 1}}},
+// refOracle is a brute-force reference scheduler: pick scans an
+// arrival-ordered slice of every queued request under a plain readiness
+// predicate and returns the index to dispatch, or -1. It is the selection
+// rule each policy implements, written without buckets, wait-classes or
+// cursors, so the classed machinery has something independent to match.
+type refOracle interface {
+	pick(q []*iface.Request, now sim.Time, canRun func(*iface.Request) bool) int
+}
+
+// fifoRef picks the earliest runnable request.
+type fifoRef struct{}
+
+func (fifoRef) pick(q []*iface.Request, _ sim.Time, canRun func(*iface.Request) bool) int {
+	for i, r := range q {
+		if canRun(r) {
+			return i
+		}
+	}
+	return -1
+}
+
+// prioRef picks the highest-scoring runnable request, earliest on ties. Only
+// the score function of p is used.
+type prioRef struct{ p *Priority }
+
+func (o prioRef) pick(q []*iface.Request, _ sim.Time, canRun func(*iface.Request) bool) int {
+	best := -1
+	for i, r := range q {
+		if canRun(r) && (best < 0 || o.p.score(r) > o.p.score(q[best])) {
+			best = i
+		}
+	}
+	return best
+}
+
+// deadlineRef serves the earliest overdue deadline first (earliest arrival
+// on ties), else the fallback's pick among fresh requests, with the
+// consecutive-overdue cap. Only the deadlines and cap of d are used.
+type deadlineRef struct {
+	d          *Deadline
+	fallback   refOracle
+	overdueRun int
+}
+
+func (o *deadlineRef) pick(q []*iface.Request, now sim.Time, canRun func(*iface.Request) bool) int {
+	overdue := func() int {
+		best, bestDL := -1, sim.Never
+		for i, r := range q {
+			if dl := o.d.deadlineFor(r); dl <= now && canRun(r) && dl < bestDL {
+				best, bestDL = i, dl
+			}
+		}
+		return best
+	}
+	preempt := o.d.MaxConsecutiveOverdue <= 0 || o.overdueRun < o.d.MaxConsecutiveOverdue
+	if preempt {
+		if i := overdue(); i >= 0 {
+			o.overdueRun++
+			return i
+		}
+	}
+	o.overdueRun = 0
+	fresh := func(r *iface.Request) bool { return o.d.deadlineFor(r) > now && canRun(r) }
+	if i := o.fallback.pick(q, now, fresh); i >= 0 {
+		return i
+	}
+	if preempt {
+		return -1
+	}
+	if i := overdue(); i >= 0 {
+		o.overdueRun = 1
+		return i
+	}
+	return -1
+}
+
+// fairRef is weighted round-robin across sources: the turn's source keeps
+// the turn until it has dispatched its weight, sources without a runnable
+// request are skipped, and arrival order rules within a source.
+type fairRef struct {
+	weights [iface.NumSources]int
+	credits [iface.NumSources]int
+	turn    iface.Source
+}
+
+func (o *fairRef) pick(q []*iface.Request, _ sim.Time, canRun func(*iface.Request) bool) int {
+	for tried := 0; tried < int(iface.NumSources); tried++ {
+		src := iface.Source((int(o.turn) + tried) % iface.NumSources)
+		for i, r := range q {
+			if r.Source != src || !canRun(r) {
+				continue
+			}
+			if tried != 0 {
+				o.turn = src
+				o.credits[src] = 0
+			}
+			o.credits[src]++
+			w := o.weights[src]
+			if w <= 0 {
+				w = 1
+			}
+			if o.credits[src] >= w {
+				o.credits[src] = 0
+				o.turn = iface.Source((int(src) + 1) % iface.NumSources)
+			}
+			return i
+		}
+	}
+	return -1
+}
+
+// oracleCase pairs a policy with the reference oracle for its configuration.
+type oracleCase struct {
+	policy Policy
+	oracle refOracle
+}
+
+func oracleCases() []oracleCase {
+	dl := func(d *Deadline, fb refOracle) oracleCase {
+		cfg := *d
+		cfg.Fallback = nil
+		if fb == nil {
+			fb = fifoRef{}
+		}
+		return oracleCase{d, &deadlineRef{d: &cfg, fallback: fb}}
+	}
+	fairW := [iface.NumSources]int{2, 1, 1, 1}
+	return []oracleCase{
+		{&FIFO{}, fifoRef{}},
+		{&Priority{Prefer: PreferReads, Internal: InternalLast}, prioRef{&Priority{Prefer: PreferReads, Internal: InternalLast}}},
+		dl(&Deadline{ReadDeadline: 50, WriteDeadline: 200}, nil),
+		dl(&Deadline{ReadDeadline: 50, WriteDeadline: 200, MaxConsecutiveOverdue: 2}, nil),
+		dl(&Deadline{ReadDeadline: 50, InternalDeadline: 400, Fallback: &Priority{Prefer: PreferReads}}, prioRef{&Priority{Prefer: PreferReads}}),
+		dl(&Deadline{ReadDeadline: 50, WriteDeadline: 200, MaxConsecutiveOverdue: 1, Fallback: &Priority{Internal: InternalFirst}},
+			prioRef{&Priority{Internal: InternalFirst}}),
+		{&Fair{Weights: fairW}, &fairRef{weights: fairW}},
 	}
 }
 
-// TestClassedMatchesPlain drives a plain-Pop instance and a PopClassed
-// instance of every classed policy through the same random schedule of
-// pushes, condition flips, wait retargets and pops, and requires identical
-// selections throughout. This is the determinism contract the controller
-// relies on when it routes dispatch through the classed gate.
+// TestClassedMatchesPlain drives every policy configuration through a random
+// schedule of pushes, condition flips, wait retargets and pops, popping the
+// policy through the class-aware gate and its reference oracle through the
+// equivalent plain predicate, and requires identical selections throughout.
+// This is the determinism contract the controller relies on: parking whole
+// wait-classes changes the cost of dispatch, never its order.
 func TestClassedMatchesPlain(t *testing.T) {
-	for _, pair := range classedPairs() {
-		plain, classed := pair[0], pair[1]
-		cp, ok := classed.(ClassedPolicy)
-		if !ok {
-			t.Fatalf("%s does not implement ClassedPolicy", classed.Name())
-		}
+	for ci := range oracleCases() {
 		for seed := int64(1); seed <= 5; seed++ {
+			tc := oracleCases()[ci] // fresh policy and oracle state per seed
+			pol := tc.policy
+			name := fmt.Sprintf("case %d (%s)", ci, pol.Name())
+			var ref []*iface.Request
+			refPop := func(now sim.Time, canRun func(*iface.Request) bool) *iface.Request {
+				i := tc.oracle.pick(ref, now, canRun)
+				if i < 0 {
+					return nil
+				}
+				r := ref[i]
+				ref = append(ref[:i], ref[i+1:]...)
+				return r
+			}
 			rng := rand.New(rand.NewSource(seed))
 			gate := newModelGate()
 			now := sim.Time(0)
 			nextID := uint64(1)
-			queued := 0
 			for step := 0; step < 3000; step++ {
 				switch op := rng.Intn(12); {
 				case op < 5: // push
@@ -139,9 +271,8 @@ func TestClassedMatchesPlain(t *testing.T) {
 					default: // classed: waits on a shared condition
 						gate.class[r.ID] = rng.Intn(len(gate.tokens))
 					}
-					plain.Push(r)
-					classed.Push(r)
-					queued++
+					pol.Push(r)
+					ref = append(ref, r)
 				case op < 6: // a shared condition flips
 					gate.toggle(rng.Intn(len(gate.tokens)))
 				case op < 7: // one member's wait changes identity
@@ -156,21 +287,20 @@ func TestClassedMatchesPlain(t *testing.T) {
 				case op < 9: // time passes: deadlines become overdue
 					now = now.Add(sim.Duration(rng.Intn(100)))
 				default: // pop both, compare
-					a := plain.Pop(now, gate.canRun)
-					b := cp.PopClassed(now, gate)
+					a := refPop(now, gate.canRun)
+					b := pol.Pop(now, gate)
 					switch {
 					case a == nil && b == nil:
 					case a == nil || b == nil:
-						t.Fatalf("%s seed %d step %d: plain=%v classed=%v", plain.Name(), seed, step, a, b)
+						t.Fatalf("%s seed %d step %d: oracle=%v policy=%v", name, seed, step, a, b)
 					case a.ID != b.ID:
-						t.Fatalf("%s seed %d step %d: plain popped %d, classed popped %d", plain.Name(), seed, step, a.ID, b.ID)
+						t.Fatalf("%s seed %d step %d: oracle popped %d, policy popped %d", name, seed, step, a.ID, b.ID)
 					default:
 						gate.forget(a.ID)
-						queued--
 					}
 				}
-				if lp, lc := plain.Len(), classed.Len(); lp != lc || lp != queued {
-					t.Fatalf("%s seed %d step %d: Len plain=%d classed=%d want %d", plain.Name(), seed, step, lp, lc, queued)
+				if n := pol.Len(); n != len(ref) {
+					t.Fatalf("%s seed %d step %d: Len %d, want %d", name, seed, step, n, len(ref))
 				}
 			}
 			// Drain with every condition clear: both must empty identically.
@@ -181,13 +311,13 @@ func TestClassedMatchesPlain(t *testing.T) {
 			}
 			gate.solo = map[uint64]bool{}
 			for {
-				a := plain.Pop(now, gate.canRun)
-				b := cp.PopClassed(now, gate)
+				a := refPop(now, gate.canRun)
+				b := pol.Pop(now, gate)
 				if a == nil && b == nil {
 					break
 				}
 				if a == nil || b == nil || a.ID != b.ID {
-					t.Fatalf("%s seed %d drain: plain=%v classed=%v", plain.Name(), seed, a, b)
+					t.Fatalf("%s seed %d drain: oracle=%v policy=%v", name, seed, a, b)
 				}
 			}
 		}

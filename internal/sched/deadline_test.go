@@ -1,13 +1,14 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"eagletree/internal/iface"
 	"eagletree/internal/sim"
 )
 
-func always(*iface.Request) bool { return true }
+var always = predGate(func(*iface.Request) bool { return true })
 
 func dlRead(id uint64, sub sim.Time) *iface.Request {
 	return &iface.Request{ID: id, Type: iface.Read, Submitted: sub}
@@ -115,5 +116,47 @@ func TestDeadlineRunCounterResets(t *testing.T) {
 	}
 	if got := d.Pop(now, always); got.ID != 51 {
 		t.Fatalf("fifth pop %d", got.ID)
+	}
+}
+
+// With every deadline 0 nothing is ever overdue, so a Deadline pops exactly
+// like its Fallback alone under the same gate, for each fallback that keeps
+// no ordering state across pops.
+func TestDeadlineWithoutDeadlinesIsItsFallback(t *testing.T) {
+	for _, mk := range []func() Policy{
+		func() Policy { return &FIFO{} },
+		func() Policy { return &Priority{Prefer: PreferReads, Internal: InternalLast, UseTags: true} },
+	} {
+		d, alone := &Deadline{Fallback: mk()}, mk()
+		rng := rand.New(rand.NewSource(1))
+		gate := newModelGate()
+		for step := 0; step < 2000; step++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				r := &iface.Request{ID: uint64(step + 1), Type: iface.Write, Source: iface.Source(rng.Intn(int(iface.NumSources)))}
+				if rng.Intn(2) == 0 {
+					r.Type = iface.Read
+				}
+				if rng.Intn(3) == 0 {
+					r.Tags.Priority = iface.PriorityHigh
+				}
+				if rng.Intn(2) == 0 {
+					gate.class[r.ID] = rng.Intn(len(gate.tokens))
+				}
+				d.Push(r)
+				alone.Push(r)
+			case 2:
+				gate.toggle(rng.Intn(len(gate.tokens)))
+			default:
+				now := sim.Time(step) * sim.Time(sim.Second)
+				a, b := alone.Pop(now, gate), d.Pop(now, gate)
+				if a != b {
+					t.Fatalf("%s step %d: fallback alone popped %v, deadline popped %v", alone.Name(), step, a, b)
+				}
+				if a != nil {
+					gate.forget(a.ID)
+				}
+			}
+		}
 	}
 }

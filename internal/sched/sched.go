@@ -19,12 +19,15 @@ import (
 )
 
 // Policy orders the controller's pending IO queue. Push enqueues; Pop
-// removes and returns the next request to dispatch among those for which
-// canRun returns true, or nil if none is dispatchable.
+// removes and returns the next request to dispatch among those the Gate
+// admits, or nil if none is dispatchable.
 //
-// canRun encapsulates hardware and space constraints the policy cannot see:
-// the target LUN of a read must be idle, a write needs some LUN with room,
-// and translation dependencies must have drained.
+// The Gate encapsulates hardware and space constraints the policy cannot
+// see: the target LUN of a read must be idle, a write needs some LUN with
+// room, and translation dependencies must have drained. It also names the
+// wait-class of each failure, so a policy parks whole classes off its scan
+// path: queued-but-unrunnable requests cost nothing per dispatch while their
+// class's condition stands still.
 type Policy interface {
 	Name() string
 	Push(r *iface.Request)
@@ -36,15 +39,20 @@ type Policy interface {
 	// Unblock makes a previously PushBlocked request visible to Pop again,
 	// at its original arrival position. Unknown requests are ignored.
 	Unblock(r *iface.Request)
-	Pop(now sim.Time, canRun func(*iface.Request) bool) *iface.Request
+	Pop(now sim.Time, g Gate) *iface.Request
+	// WakeRequest moves one parked request back into the scan path when its
+	// wait condition changed identity rather than cleared — a read whose
+	// page was remapped waits on a different LUN now, which no class token
+	// tracks.
+	WakeRequest(r *iface.Request, class int)
 	Len() int
 }
 
-// Gate is the controller side of class-aware dispatch. Evaluate answers
-// exactly like a Policy's canRun callback and, when the request cannot run,
-// names the wait-class its failure belongs to — or -1 when the failure is
-// not class-wide. Every member of a class waits on the same condition, so
-// one member's failure proves the whole class undispatchable.
+// Gate is the controller side of dispatch. Evaluate reports whether a
+// request can run right now and, when it cannot, names the wait-class its
+// failure belongs to — or -1 when the failure is not class-wide. Every
+// member of a class waits on the same condition, so one member's failure
+// proves the whole class undispatchable.
 //
 // ClassToken returns a monotonic token per class that changes whenever the
 // class's blocking condition may have cleared. A class that slept at token
@@ -63,19 +71,14 @@ type Gate interface {
 	ClassStable(class int) uint64
 }
 
-// ClassedPolicy is implemented by policies that can park whole wait-classes
-// off their scan path. PopClassed is Pop with a Gate instead of a plain
-// canRun callback; dispatch results are identical, only the cost changes:
-// queued-but-unrunnable requests no longer contribute to every scan.
-//
-// WakeRequest moves one parked request back into the scan path when its
-// wait condition changed identity rather than cleared — a read whose page
-// was remapped waits on a different LUN now, which no class token tracks.
-type ClassedPolicy interface {
-	Policy
-	PopClassed(now sim.Time, g Gate) *iface.Request
-	WakeRequest(r *iface.Request, class int)
-}
+// predGate is a plain readiness predicate as a Gate. Its failures are never
+// class-wide, so nothing evaluated through it parks: a policy popped through
+// a predGate keeps every entry on its scan path.
+type predGate func(*iface.Request) bool
+
+func (p predGate) Evaluate(r *iface.Request) (bool, int) { return p(r), -1 }
+func (predGate) ClassToken(int) uint64                   { return 0 }
+func (predGate) ClassStable(int) uint64                  { return 0 }
 
 // qent is one queued request with its arrival sequence number.
 type qent struct {
@@ -94,9 +97,8 @@ type queue struct {
 	seq    uint64
 	parked map[*iface.Request]uint64
 
-	// Wait-class side lists (popClassed): whole classes parked off the
-	// scan path. Plain scans (popScan) merge them back in seq order, so
-	// mixed use keeps arrival-order semantics exact.
+	// Wait-class side lists: whole classes parked off the scan path and
+	// merged back in seq order while awake.
 	classes  []classList
 	occupied []int // indices of classes with parked entries
 	scratch  []int // per-occupied cursor state for mutation-free scans
@@ -130,6 +132,8 @@ func (q *queue) release(r *iface.Request) {
 
 // insertBySeq re-inserts an entry at its arrival position (by sequence
 // number), keeping the scannable slice seq-ordered.
+//
+//eagletree:hotpath
 func (q *queue) insertBySeq(e qent) {
 	lo, hi := q.head, len(q.items)
 	for lo < hi {
@@ -155,6 +159,8 @@ func (q *queue) view() []qent { return q.items[q.head:] }
 
 // removeAt removes and returns the i-th scannable request (an index into
 // view()).
+//
+//eagletree:hotpath
 func (q *queue) removeAt(i int) *iface.Request {
 	i += q.head
 	r := q.items[i].r
@@ -204,9 +210,9 @@ type classList struct {
 // FIFO dispatches strictly in arrival order, skipping requests that cannot
 // run yet. It is the baseline every other policy is measured against.
 //
-// Under a Gate (PopClassed), requests that fail with a wait-class park in
-// per-class side lists instead of being rescanned: dispatch cost tracks the
-// handful of runnable candidates, not the queue's length.
+// Requests that fail with a wait-class park in per-class side lists instead
+// of being rescanned: dispatch cost tracks the handful of runnable
+// candidates, not the queue's length.
 type FIFO struct {
 	q queue
 }
@@ -226,82 +232,26 @@ func (f *FIFO) Unblock(r *iface.Request) { f.q.release(r) }
 // Len implements Policy.
 func (f *FIFO) Len() int { return f.q.len() }
 
-// Pop implements Policy: the plain linear scan in arrival order.
-func (f *FIFO) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	return f.q.popScan(canRun)
-}
-
-// PopClassed implements ClassedPolicy: arrival-ordered dispatch with whole
-// wait-classes parked off the scan path. The result is exactly Pop's — the
-// lowest-seq dispatchable request — because a sleeping class's members are
-// all guaranteed undispatchable while its token stands still.
-func (f *FIFO) PopClassed(_ sim.Time, g Gate) *iface.Request {
+// Pop implements Policy: the lowest-seq dispatchable request, with whole
+// wait-classes parked off the scan path. A sleeping class's members are all
+// guaranteed undispatchable while its token stands still, so skipping them
+// cannot change the pick.
+//
+//eagletree:hotpath
+func (f *FIFO) Pop(_ sim.Time, g Gate) *iface.Request {
 	return f.q.popClassed(g)
 }
 
-// WakeRequest implements ClassedPolicy: it pulls one parked request out of
-// its class list and back into the scan path at its arrival position.
+// WakeRequest implements Policy: it pulls one parked request out of its
+// class list and back into the scan path at its arrival position.
 func (f *FIFO) WakeRequest(r *iface.Request, class int) { f.q.wakeRequest(r, class) }
-
-// popScan is the plain arrival-order scan. When class lists hold entries
-// (mixed use with popClassed), they are merged into the scan as if every
-// class were awake, so the result is identical to a single arrival-ordered
-// queue.
-func (q *queue) popScan(canRun func(*iface.Request) bool) *iface.Request {
-	if len(q.occupied) == 0 {
-		for i, e := range q.view() {
-			if canRun(e.r) {
-				return q.removeAt(i)
-			}
-		}
-		return nil
-	}
-	cur := make([]int, len(q.occupied))
-	fi := 0
-	const noSeq = ^uint64(0)
-	for {
-		fresh := q.view()
-		bestSeq := noSeq
-		bestIdx := -1 // index into occupied; -1 means the fresh entry wins
-		if fi < len(fresh) {
-			bestSeq = fresh[fi].seq
-		}
-		for oi, ci := range q.occupied {
-			cl := &q.classes[ci]
-			p := cl.head + cur[oi]
-			if p >= len(cl.ents) {
-				continue
-			}
-			if s := cl.ents[p].seq; s < bestSeq {
-				bestSeq, bestIdx = s, oi
-			}
-		}
-		if bestSeq == noSeq {
-			return nil
-		}
-		if bestIdx < 0 {
-			if canRun(fresh[fi].r) {
-				return q.removeAt(fi)
-			}
-			fi++
-			continue
-		}
-		ci := q.occupied[bestIdx]
-		cl := &q.classes[ci]
-		p := cl.head + cur[bestIdx]
-		if canRun(cl.ents[p].r) {
-			r := cl.ents[p].r
-			q.classRemoveAt(ci, p)
-			return r
-		}
-		cur[bestIdx]++
-	}
-}
 
 // classMaintain re-arms the class lists against the gate's current tokens:
 // classes whose membership token moved are flushed back into the scan path
 // for re-classification, and sleeping classes whose wake token moved are
-// woken. Every classed pop runs this once before scanning.
+// woken. Every pop runs this once before scanning.
+//
+//eagletree:hotpath
 func (q *queue) classMaintain(g Gate) {
 	for oi := 0; oi < len(q.occupied); {
 		ci := q.occupied[oi]
@@ -320,6 +270,8 @@ func (q *queue) classMaintain(g Gate) {
 // popClassed is arrival-ordered dispatch under a Gate. Sleeping classes
 // whose token stands still cost one comparison; everything else is the
 // usual lowest-seq merge over fresh arrivals and awake class heads.
+//
+//eagletree:hotpath
 func (q *queue) popClassed(g Gate) *iface.Request {
 	q.classMaintain(g)
 	const noSeq = ^uint64(0)
@@ -566,6 +518,8 @@ func (p *parkLog) apply(q *queue, g Gate) {
 // classPark files an entry under a wait-class and puts the class to sleep
 // at the current token: the entry just evaluated undispatchable, and its
 // failure condition is shared by every member.
+//
+//eagletree:hotpath
 func (q *queue) classPark(ci int, e qent, g Gate) {
 	for ci >= len(q.classes) {
 		q.classes = append(q.classes, classList{})
@@ -624,6 +578,8 @@ func (q *queue) classFlush(ci int) {
 
 // classRemoveAt removes the entry at index i (into ents) from a class list,
 // reclaiming the list when it empties.
+//
+//eagletree:hotpath
 func (q *queue) classRemoveAt(ci, i int) {
 	cl := &q.classes[ci]
 	if i == cl.head {
@@ -793,23 +749,12 @@ func (p *Priority) score(r *iface.Request) int {
 	return s
 }
 
-// Pop implements Policy.
-func (p *Priority) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	for b := range p.buckets {
-		if r := p.buckets[b].q.popScan(canRun); r != nil {
-			p.n--
-			return r
-		}
-	}
-	return nil
-}
-
-// PopClassed implements ClassedPolicy: bucket-major dispatch with each
-// bucket's wait-classes parked off its scan path. Selection is identical to
-// Pop's — the highest-scoring bucket's earliest dispatchable request —
-// because a bucket's sleeping classes are provably undispatchable while
-// their tokens stand still.
-func (p *Priority) PopClassed(_ sim.Time, g Gate) *iface.Request {
+// Pop implements Policy: bucket-major dispatch with each bucket's
+// wait-classes parked off its scan path — the highest-scoring bucket's
+// earliest dispatchable request.
+//
+//eagletree:hotpath
+func (p *Priority) Pop(_ sim.Time, g Gate) *iface.Request {
 	for b := range p.buckets {
 		if r := p.buckets[b].q.popClassed(g); r != nil {
 			p.n--
@@ -819,9 +764,8 @@ func (p *Priority) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	return nil
 }
 
-// WakeRequest implements ClassedPolicy. The score is a pure function of
-// immutable request fields, so it finds the same bucket the request parked
-// in.
+// WakeRequest implements Policy. The score is a pure function of immutable
+// request fields, so it finds the same bucket the request parked in.
 func (p *Priority) WakeRequest(r *iface.Request, class int) {
 	p.bucketFor(p.score(r)).wakeRequest(r, class)
 }
@@ -842,6 +786,10 @@ type Deadline struct {
 	WriteDeadline    sim.Duration
 	InternalDeadline sim.Duration
 	// Fallback orders the queue when nothing is overdue. Nil means FIFO.
+	// Every Pop lends it the queue, takes its pick and drains the rest
+	// through Fallback.Pop, so it must keep no ordering state across pops:
+	// Fair (turn and credits) and a Deadline with MaxConsecutiveOverdue > 0
+	// (its overdue run) would have that state advanced by the drain.
 	Fallback Policy
 	// MaxConsecutiveOverdue bounds overdue preemption (0 = unbounded).
 	MaxConsecutiveOverdue int
@@ -883,125 +831,41 @@ func (d *Deadline) deadlineFor(r *iface.Request) sim.Time {
 	return r.Submitted.Add(dl)
 }
 
-// Pop implements Policy.
-func (d *Deadline) Pop(now sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	// Overdue first, earliest deadline wins — unless the overdue run just
-	// hit its cap, in which case one non-overdue request goes first.
-	preempt := d.MaxConsecutiveOverdue <= 0 || d.overdueRun < d.MaxConsecutiveOverdue
-	if preempt {
-		best, bestDL := -1, sim.Never
-		for i, e := range d.q.view() {
-			dl := d.deadlineFor(e.r)
-			if dl <= now && canRun(e.r) && dl < bestDL {
-				best, bestDL = i, dl
-			}
-		}
-		if best >= 0 {
-			d.overdueRun++
-			return d.q.removeAt(best)
-		}
-	}
-	d.overdueRun = 0
-	if r := d.popFresh(now, canRun); r != nil {
-		return r
-	}
-	if preempt {
-		return nil // nothing runnable at all
-	}
-	// The cap demanded a non-overdue request but none is runnable; serve
-	// the overdue backlog rather than idling the device.
-	best, bestDL := -1, sim.Never
-	for i, e := range d.q.view() {
-		dl := d.deadlineFor(e.r)
-		if dl <= now && canRun(e.r) && dl < bestDL {
-			best, bestDL = i, dl
-		}
-	}
-	if best >= 0 {
-		d.overdueRun = 1
-		return d.q.removeAt(best)
-	}
-	return nil
-}
-
-// popFresh picks among not-yet-overdue requests via the fallback ordering.
-func (d *Deadline) popFresh(now sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	freshRunnable := func(r *iface.Request) bool {
-		return d.deadlineFor(r) > now && canRun(r)
-	}
-	if d.Fallback != nil {
-		// Delegate ordering to the fallback by lending it our queue.
-		return d.popViaFallback(now, freshRunnable)
-	}
-	for i, e := range d.q.view() {
-		if freshRunnable(e.r) {
-			return d.q.removeAt(i)
-		}
-	}
-	return nil
-}
-
-func (d *Deadline) popViaFallback(now sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	// Feed the fallback a fresh view of our pending items, pop one, and
-	// remove it from our queue. Fallback policies are stateless between
-	// calls except for their queue, so this stays cheap at simulator scale.
-	for _, e := range d.q.view() {
-		d.Fallback.Push(e.r)
-	}
-	picked := d.Fallback.Pop(now, canRun)
-	// Drain the fallback completely so the next call starts clean.
-	for d.Fallback.Len() > 0 {
-		if d.Fallback.Pop(now, func(*iface.Request) bool { return true }) == nil {
-			break
-		}
-	}
-	if picked == nil {
-		return nil
-	}
-	for i, e := range d.q.view() {
-		if e.r == picked {
-			return d.q.removeAt(i)
-		}
-	}
-	return picked
-}
-
-// PopClassed implements ClassedPolicy: the same overdue-first/fresh/cap
-// sequence as Pop, with whole wait-classes parked off the scan paths.
-// Selection is identical to Pop's because a sleeping class's members are all
-// guaranteed undispatchable while its token stands still — and deadlines
-// only order requests that are dispatchable in the first place.
-func (d *Deadline) PopClassed(now sim.Time, g Gate) *iface.Request {
+// Pop implements Policy: overdue requests first (earliest deadline wins)
+// unless the overdue run just hit its cap, then the fallback ordering over
+// fresh requests, then — when the cap demanded a fresh request but none is
+// runnable — the overdue backlog rather than an idle device. Class-wide
+// failures discovered by the scans park their whole class.
+func (d *Deadline) Pop(now sim.Time, g Gate) *iface.Request {
 	d.q.classMaintain(g)
 	preempt := d.MaxConsecutiveOverdue <= 0 || d.overdueRun < d.MaxConsecutiveOverdue
 	if preempt {
-		if r := d.popOverdueClassed(now, g); r != nil {
+		if r := d.popOverdue(now, g); r != nil {
 			d.overdueRun++
 			return r
 		}
 	}
 	d.overdueRun = 0
-	if r := d.popFreshClassed(now, g); r != nil {
+	if r := d.popFresh(now, g); r != nil {
 		return r
 	}
 	if preempt {
 		return nil // nothing runnable at all
 	}
-	if r := d.popOverdueClassed(now, g); r != nil {
+	if r := d.popOverdue(now, g); r != nil {
 		d.overdueRun = 1
 		return r
 	}
 	return nil
 }
 
-// WakeRequest implements ClassedPolicy.
+// WakeRequest implements Policy.
 func (d *Deadline) WakeRequest(r *iface.Request, class int) { d.q.wakeRequest(r, class) }
 
-// popOverdueClassed is Pop's overdue sweep under a Gate: the earliest
-// overdue deadline among dispatchable entries wins, ties in arrival order.
-// Class-wide failures discovered along the way are parked once the sweep
-// ends.
-func (d *Deadline) popOverdueClassed(now sim.Time, g Gate) *iface.Request {
+// popOverdue is the overdue sweep: the earliest overdue deadline among
+// dispatchable entries wins, ties in arrival order. Class-wide failures
+// discovered along the way are parked once the sweep ends.
+func (d *Deadline) popOverdue(now sim.Time, g Gate) *iface.Request {
 	cur := d.q.scanStart()
 	best := scanLoc{}
 	bestDL := sim.Never
@@ -1033,10 +897,11 @@ func (d *Deadline) popOverdueClassed(now sim.Time, g Gate) *iface.Request {
 	return r
 }
 
-// popFreshClassed is popFresh under a Gate.
-func (d *Deadline) popFreshClassed(now sim.Time, g Gate) *iface.Request {
+// popFresh picks among not-yet-overdue requests: the earliest dispatchable
+// one, or the fallback's pick when a Fallback is set.
+func (d *Deadline) popFresh(now sim.Time, g Gate) *iface.Request {
 	if d.Fallback != nil {
-		return d.popViaFallbackClassed(now, g)
+		return d.popViaFallback(now, g)
 	}
 	cur := d.q.scanStart()
 	for {
@@ -1061,12 +926,15 @@ func (d *Deadline) popFreshClassed(now sim.Time, g Gate) *iface.Request {
 	return nil
 }
 
-// popViaFallbackClassed lends the fallback every scannable entry — fresh
-// arrivals and awake class members in seq order, exactly the set a plain
-// lend would find runnable — and lets it order them. Sleeping class members
-// are withheld: the fallback could never pick them (canRun would refuse), so
-// their absence cannot change which request it returns.
-func (d *Deadline) popViaFallbackClassed(now sim.Time, g Gate) *iface.Request {
+// anyRunnable admits every request; it drains a lent fallback queue.
+var anyRunnable Gate = predGate(func(*iface.Request) bool { return true })
+
+// popViaFallback lends the fallback every scannable entry — fresh arrivals
+// and awake class members in seq order — and lets it order them through a
+// predGate over "fresh and dispatchable". Sleeping class members are
+// withheld: the gate would refuse them, so their absence cannot change which
+// request the fallback returns.
+func (d *Deadline) popViaFallback(now sim.Time, g Gate) *iface.Request {
 	cur := d.q.scanStart()
 	for {
 		e, _, more := cur.next()
@@ -1075,7 +943,7 @@ func (d *Deadline) popViaFallbackClassed(now sim.Time, g Gate) *iface.Request {
 		}
 		d.Fallback.Push(e.r)
 	}
-	picked := d.Fallback.Pop(now, func(r *iface.Request) bool {
+	picked := d.Fallback.Pop(now, predGate(func(r *iface.Request) bool {
 		if d.deadlineFor(r) <= now {
 			return false
 		}
@@ -1084,10 +952,10 @@ func (d *Deadline) popViaFallbackClassed(now sim.Time, g Gate) *iface.Request {
 			d.parks.record(r, class)
 		}
 		return ok
-	})
+	}))
 	// Drain the fallback completely so the next call starts clean.
 	for d.Fallback.Len() > 0 {
-		if d.Fallback.Pop(now, func(*iface.Request) bool { return true }) == nil {
+		if d.Fallback.Pop(now, anyRunnable) == nil {
 			break
 		}
 	}
@@ -1132,39 +1000,11 @@ func (f *Fair) weight(s iface.Source) int {
 	return 1
 }
 
-// Pop implements Policy.
-func (f *Fair) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	// Try each source starting from the current turn; within a source,
-	// arrival order. A source with remaining credits keeps the turn.
-	for tried := 0; tried < int(iface.NumSources); tried++ {
-		src := iface.Source((int(f.turn) + tried) % iface.NumSources)
-		for i, e := range f.q.view() {
-			r := e.r
-			if r.Source != src || !canRun(r) {
-				continue
-			}
-			if tried != 0 {
-				// Turn moved on; reset credits for the new holder.
-				f.turn = src
-				f.credits[src] = 0
-			}
-			f.credits[src]++
-			if f.credits[src] >= f.weight(src) {
-				f.credits[src] = 0
-				f.turn = iface.Source((int(src) + 1) % iface.NumSources)
-			}
-			return f.q.removeAt(i)
-		}
-	}
-	return nil
-}
-
-// PopClassed implements ClassedPolicy: the same weighted round-robin as Pop
-// with whole wait-classes parked off the per-source scans. Selection and
-// credit bookkeeping are identical to Pop's — a sleeping class's members
-// would fail canRun in the plain scan too, and each entry is evaluated in at
-// most one source round (the one matching its own source).
-func (f *Fair) PopClassed(_ sim.Time, g Gate) *iface.Request {
+// Pop implements Policy: try each source starting from the current turn;
+// within a source, arrival order. A source with remaining credits keeps the
+// turn. Whole wait-classes stay parked off the per-source scans, and each
+// entry is evaluated in at most one source round (its own source's).
+func (f *Fair) Pop(_ sim.Time, g Gate) *iface.Request {
 	f.q.classMaintain(g)
 	for tried := 0; tried < int(iface.NumSources); tried++ {
 		src := iface.Source((int(f.turn) + tried) % iface.NumSources)
@@ -1204,5 +1044,5 @@ func (f *Fair) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	return nil
 }
 
-// WakeRequest implements ClassedPolicy.
+// WakeRequest implements Policy.
 func (f *Fair) WakeRequest(r *iface.Request, class int) { f.q.wakeRequest(r, class) }

@@ -45,7 +45,7 @@ func buildReq(id int, s reqSpec) *iface.Request {
 }
 
 // TestPoliciesConserveRequests: every pushed request is popped exactly once
-// (when canRun always approves), regardless of policy and request mix.
+// (when the gate always approves), regardless of policy and request mix.
 func TestPoliciesConserveRequests(t *testing.T) {
 	f := func(specs []reqSpec) bool {
 		for _, p := range allPolicies() {
@@ -58,7 +58,7 @@ func TestPoliciesConserveRequests(t *testing.T) {
 				return false
 			}
 			for {
-				r := p.Pop(sim.Time(1<<20), func(*iface.Request) bool { return true })
+				r := p.Pop(sim.Time(1<<20), yes)
 				if r == nil {
 					break
 				}
@@ -86,7 +86,7 @@ func TestPoliciesConserveRequests(t *testing.T) {
 	}
 }
 
-// TestPoliciesRespectCanRun: a request rejected by canRun is never popped,
+// TestPoliciesRespectCanRun: a request the gate rejects is never popped,
 // and Pop returns nil exactly when nothing runnable remains.
 func TestPoliciesRespectCanRun(t *testing.T) {
 	f := func(specs []reqSpec, mask uint64) bool {
@@ -99,7 +99,7 @@ func TestPoliciesRespectCanRun(t *testing.T) {
 				}
 				p.Push(r)
 			}
-			canRun := func(r *iface.Request) bool { return !blocked[r.ID] }
+			canRun := predGate(func(r *iface.Request) bool { return !blocked[r.ID] })
 			popped := 0
 			for {
 				r := p.Pop(sim.Time(1<<20), canRun)
@@ -140,7 +140,7 @@ func TestDeadlineOverduePopOrder(t *testing.T) {
 		now := sim.Time(1 << 30)
 		var last sim.Time = -1
 		for {
-			r := d.Pop(now, func(*iface.Request) bool { return true })
+			r := d.Pop(now, yes)
 			if r == nil {
 				break
 			}

@@ -11,9 +11,11 @@ func req(id uint64, t iface.ReqType, src iface.Source) *iface.Request {
 	return &iface.Request{ID: id, Type: t, Source: src}
 }
 
-func runAll(*iface.Request) bool { return false }
-
-func yes(*iface.Request) bool { return true }
+// runAll and yes are plain predicates passed to Pop as never-parking gates.
+var (
+	runAll = predGate(func(*iface.Request) bool { return false })
+	yes    = predGate(func(*iface.Request) bool { return true })
+)
 
 func TestFIFOOrder(t *testing.T) {
 	var f FIFO
@@ -35,7 +37,7 @@ func TestFIFOSkipsBlocked(t *testing.T) {
 	var f FIFO
 	f.Push(req(1, iface.Read, iface.SourceApp))
 	f.Push(req(2, iface.Write, iface.SourceApp))
-	r := f.Pop(0, func(r *iface.Request) bool { return r.ID == 2 })
+	r := f.Pop(0, predGate(func(r *iface.Request) bool { return r.ID == 2 }))
 	if r == nil || r.ID != 2 {
 		t.Fatalf("Pop = %v, want req 2", r)
 	}

@@ -112,7 +112,7 @@ func registerPolicies() {
 			{Name: "write_deadline", Type: TDuration, Doc: "write deadline from submission (0 = never)"},
 			{Name: "internal_deadline", Type: TDuration, Doc: "internal-IO deadline (0 = never)"},
 			{Name: "max_consecutive_overdue", Type: TInt, Doc: "bound on overdue preemption (0 = unbounded)"},
-			{Name: "fallback", Type: TComponent, Of: KindPolicy, Doc: "ordering when nothing is overdue (default FIFO)"},
+			{Name: "fallback", Type: TComponent, Of: KindPolicy, Doc: "ordering when nothing is overdue (default FIFO); it must keep no ordering state across pops, so fair and a deadline with max_consecutive_overdue > 0 are rejected"},
 		},
 		Make: func(p *Params) (any, error) {
 			d := &sched.Deadline{
@@ -122,6 +122,18 @@ func registerPolicies() {
 				MaxConsecutiveOverdue: p.Int("max_consecutive_overdue", 0),
 			}
 			if fb := p.Component("fallback", KindPolicy); fb != nil {
+				// Every pop drains the lent queue through the fallback's Pop,
+				// which would advance any state it keeps across pops.
+				switch f := fb.(type) {
+				case *sched.Fair:
+					return nil, &ParamError{Context: p.context(), Param: "fallback",
+						Err: fmt.Errorf("fair keeps its turn and credits across pops and cannot be a fallback")}
+				case *sched.Deadline:
+					if f.MaxConsecutiveOverdue > 0 {
+						return nil, &ParamError{Context: p.context(), Param: "fallback",
+							Err: fmt.Errorf("a deadline with max_consecutive_overdue > 0 keeps its overdue run across pops and cannot be a fallback")}
+					}
+				}
 				d.Fallback = fb.(sched.Policy)
 			}
 			return d, nil

@@ -7,7 +7,7 @@
 //	eagletree record   run and capture the app-level IO stream to a trace
 //	eagletree replay   replay a captured trace instead of a workload
 //	eagletree state    prepare & save a device state, or inspect one
-//	eagletree sweep    run the E1–E13 design-space experiments or a spec
+//	eagletree sweep    run the E1–E14 design-space experiments or a spec
 //	eagletree list     print the experiment index
 //	eagletree spec     run any experiment spec document
 //	eagletree doc      render the component registry as SPEC.md

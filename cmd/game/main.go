@@ -30,14 +30,20 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := experiment.Small
-	if *scale == "full" {
-		sc = experiment.Full
+	sc, err := experiment.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "game:", err)
+		os.Exit(2)
+	}
+	def, err := experiment.Lookup(sc, "E12")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "game:", err)
+		os.Exit(1)
 	}
 	guess := fmt.Sprintf("prefer=%s,internal=%s", *prefer, *internal)
 
 	fmt.Println("Running the scheduling design space (this simulates the full workload once per combination)...")
-	res, err := experiment.Run(experiment.E12Game(sc))
+	res, err := experiment.Run(def)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "game:", err)
 		os.Exit(1)

@@ -614,8 +614,9 @@ func SpecCatalogue(kind SpecKind) []*SpecComponent { return spec.Catalogue(kind)
 // doc` prints exactly this.
 func SpecMarkdown() string { return spec.Markdown() }
 
-// SuiteSpecs returns the predefined E1–E13 experiments as spec data; the
-// checked-in specs/*.json files are their canonical encodings.
+// SuiteSpecs returns the predefined E1–E14 experiments as spec data, decoded
+// from the embedded specs/*.json (small) or specs/full/*.json (full)
+// documents that define the suite.
 func SuiteSpecs(full bool) []ExperimentSpec {
 	if full {
 		return experiment.SuiteSpecs(experiment.Full)

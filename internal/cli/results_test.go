@@ -164,6 +164,29 @@ func TestSweepSeedsFlagErrors(t *testing.T) {
 	}
 }
 
+// TestScaleFlagErrors: a misspelled -scale is a usage error naming the bad
+// value, for sweep and list alike — never a silent small-scale run.
+func TestScaleFlagErrors(t *testing.T) {
+	for _, cmd := range []string{"sweep", "list"} {
+		for _, scale := range []string{"Full", "fulll", ""} {
+			args := []string{cmd, "-scale", scale}
+			if cmd == "sweep" {
+				args = append(args, "-run", "e1", "-chart=false", "-progress=false")
+			}
+			var stdout, stderr bytes.Buffer
+			if code := Main(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("%s -scale %q exited %d, want 2", cmd, scale, code)
+			}
+			if want := "unknown scale"; !strings.Contains(stderr.String(), want) {
+				t.Fatalf("%s -scale %q stderr %q lacks %q", cmd, scale, stderr.String(), want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("%s -scale %q printed output:\n%s", cmd, scale, stdout.String())
+			}
+		}
+	}
+}
+
 func TestResultsBadArgs(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := Main([]string{"results"}, &stdout, &stderr); code != 2 {

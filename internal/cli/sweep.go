@@ -355,15 +355,16 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	sc, err := experiment.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(stderr, "eagletree:", err)
+		return 2
+	}
 	if err := prof.start(); err != nil {
 		return fail(stderr, err)
 	}
 	defer prof.stop(stderr)
 
-	sc := experiment.Small
-	if *scale == "full" {
-		sc = experiment.Full
-	}
 	opts := experiment.Options{Workers: *workers, NoPrepareCache: *fresh}
 	if *cacheDir != "" && !*fresh {
 		// One cache across the whole invocation: experiments sharing a
@@ -398,10 +399,9 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 		suite := experiment.SuiteSpecs(sc)
 		sels := strings.Split(*run, ",")
 		match := func(e spec.Experiment) bool {
-			id := strings.SplitN(e.Name, "-", 2)[0] // "E3"
 			for _, sel := range sels {
 				sel = strings.TrimSpace(sel)
-				if strings.EqualFold(sel, "all") || strings.EqualFold(id, sel) || strings.EqualFold(e.Name, sel) {
+				if strings.EqualFold(sel, "all") || experiment.Matches(e.Name, sel) {
 					return true
 				}
 			}
@@ -501,18 +501,18 @@ func cmdList(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	sc := experiment.Small
-	if *scale == "full" {
-		sc = experiment.Full
+	sc, err := experiment.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(stderr, "eagletree:", err)
+		return 2
 	}
 	fmt.Fprintf(stdout, "%-4s %-22s %8s %-42s %s\n", "ID", "NAME", "VARIANTS", "VARIES", "SHOWS")
 	for _, e := range experiment.SuiteSpecs(sc) {
-		id := strings.SplitN(e.Name, "-", 2)[0]
 		variants, err := e.ExpandVariants()
 		if err != nil {
 			return fail(stderr, err)
 		}
-		fmt.Fprintf(stdout, "%-4s %-22s %8d %-42s %s\n", id, e.Name, len(variants), e.Varies, e.Doc)
+		fmt.Fprintf(stdout, "%-4s %-22s %8d %-42s %s\n", experiment.ID(e.Name), e.Name, len(variants), e.Varies, e.Doc)
 	}
 	return 0
 }

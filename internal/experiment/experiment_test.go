@@ -174,7 +174,7 @@ func TestRunWorkersDeterministic(t *testing.T) {
 // produce bit-identical per-variant Reports sequential vs parallel, across
 // closed-loop, open-loop and dependent modes alike.
 func TestRunWorkersDeterministicE13(t *testing.T) {
-	def := E13TraceReplay(Small)
+	def := mustLookup(t, Small, "E13")
 	seq, err := RunWorkers(def, 1)
 	if err != nil {
 		t.Fatal(err)

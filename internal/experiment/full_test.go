@@ -9,55 +9,11 @@ import (
 	"testing"
 
 	"eagletree/internal/core"
-	"eagletree/internal/spec"
 )
 
 // Full-scale golden files live under specs/full/: the pinned -scale full
 // spec documents plus the two-seed report dump the CI full-scale job diffs.
 const fullSpecDir = "../../specs/full"
-
-func fullSpecPath(i int) string {
-	return filepath.Join(fullSpecDir, fmt.Sprintf("e%d.json", i+1))
-}
-
-// TestGoldenSpecFilesFull pins the checked-in specs/full/e*.json files to
-// the byte-exact encodings of the full-scale suite definitions, exactly as
-// TestGoldenSpecFiles does for the small-scale documents. Regenerate with
-//
-//	go test ./internal/experiment -run TestGoldenSpecFilesFull -args -update-specs
-func TestGoldenSpecFilesFull(t *testing.T) {
-	specs := SuiteSpecs(Full)
-	for i, e := range specs {
-		want, err := spec.Encode(e)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		path := fullSpecPath(i)
-		if *updateSpecs {
-			if err := os.MkdirAll(fullSpecDir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, want, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v — regenerate with -args -update-specs", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s is stale for %s — regenerate with -args -update-specs", path, e.Name)
-		}
-		doc, err := spec.Decode(got)
-		if err != nil {
-			t.Fatalf("%s does not decode: %v", path, err)
-		}
-		if err := doc.Validate(); err != nil {
-			t.Fatalf("%s does not validate: %v", path, err)
-		}
-	}
-}
 
 // fullGoldenDump renders every full-scale suite report for the two golden
 // seeds in the same line format TestDumpGolden uses: one %#v per variant,
@@ -129,7 +85,7 @@ func TestFullScaleSnapshotRestoreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prepares a full-scale device three times; skipped with -short")
 	}
-	def := E11Aging(Full) // fresh-vs-aged preparation: the snapshot-heaviest definition
+	def := mustLookup(t, Full, "E11") // fresh-vs-aged preparation: the snapshot-heaviest definition
 	fresh, err := RunOpts(def, Options{Workers: 1, NoPrepareCache: true})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func (c *collectObserver) all() []Event {
 
 // TestRunnerMatchesRunWorkers: the Runner under a background context must
 // reproduce the deprecated wrappers bit for bit — sequential and parallel,
-// across the whole E1–E13 suite. One shared snapshot cache keeps the three
+// across the whole E1–E14 suite. One shared snapshot cache keeps the three
 // passes from re-aging devices.
 func TestRunnerMatchesRunWorkers(t *testing.T) {
 	cache := NewStateCache("")
@@ -61,7 +61,7 @@ func TestRunnerMatchesRunWorkers(t *testing.T) {
 // every declared-preparation variant, and one terminal ExperimentDone —
 // under both the sequential and the parallel runner.
 func TestRunnerEventCoverage(t *testing.T) {
-	def := E3GCGreediness(Small) // declared prep: first variant misses, rest hit
+	def := mustLookup(t, Small, "E3") // declared prep: first variant misses, rest hit
 	for _, workers := range []int{1, 3} {
 		obs := &collectObserver{}
 		if _, err := New(Options{Workers: workers, Observer: obs}).Run(context.Background(), def); err != nil {
@@ -124,7 +124,7 @@ func TestRunnerEventCoverage(t *testing.T) {
 // uncancelled run's leading rows, bit for bit, for both the sequential and
 // the parallel runner, and that the error is the typed ErrCanceled.
 func TestRunnerCancelPrefixDeterministic(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := mustLookup(t, Small, "E3")
 	full, err := RunWorkers(def, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestRunnerCancelPrefixDeterministic(t *testing.T) {
 // variant exactly once — each gets VariantQueued plus either VariantDone or
 // VariantCanceled — and the terminal event carries the cancellation error.
 func TestRunnerCancelEventCoverage(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := mustLookup(t, Small, "E3")
 	for _, workers := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		obs := &collectObserver{}
@@ -235,7 +235,7 @@ func TestRunnerCancelEventCoverage(t *testing.T) {
 // remaining variants still run to completion.
 func TestRunnerPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		def := E3GCGreediness(Small)
+		def := mustLookup(t, Small, "E3")
 		def.Variants = append([]Variant(nil), def.Variants[:3]...)
 		def.Variants[1].Prepare = func(s *core.Stack) []*workload.Handle {
 			panic("prepare exploded")
@@ -278,7 +278,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 // TestRunnerDeadlineMidVariant: a context that expires while a simulation is
 // in flight must abort it (the event loop polls), not hang until the drain.
 func TestRunnerDeadlineMidVariant(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := mustLookup(t, Small, "E3")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: nothing may run at all
 	res, err := New(Options{Workers: 1}).Run(ctx, def)

@@ -18,7 +18,7 @@ import (
 // every variant; the cached runs restore one shared snapshot per distinct
 // prepared state.
 func TestSnapshotRestoreDeterministic(t *testing.T) {
-	for _, def := range []Definition{E11Aging(Small), E13TraceReplay(Small)} {
+	for _, def := range []Definition{mustLookup(t, Small, "E11"), mustLookup(t, Small, "E13")} {
 		def := def
 		t.Run(def.Name, func(t *testing.T) {
 			fresh, err := RunOpts(def, Options{Workers: 1, NoPrepareCache: true})
@@ -42,7 +42,7 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 // TestStateCacheSharesPreparation: variants of one experiment that share a
 // preparation-relevant configuration must build exactly one snapshot.
 func TestStateCacheSharesPreparation(t *testing.T) {
-	def := E3GCGreediness(Small) // four greediness variants, one aged state
+	def := mustLookup(t, Small, "E3") // four greediness variants, one aged state
 	cache := NewStateCache("")
 	builds := 0
 	countingGet := func(key string, build func() ([]byte, error)) ([]byte, error) {
@@ -81,12 +81,13 @@ func TestStateCacheSharesPreparation(t *testing.T) {
 func TestStateCacheDisk(t *testing.T) {
 	dir := t.TempDir()
 	key := "test-key"
+	e11 := mustLookup(t, Small, "E11")
+	aged := mustLookupSpec(t, Small, "E11").Variants[1] // fill + two aging passes
 	builds := 0
 	build := func() ([]byte, error) {
 		builds++
-		def := E11Aging(Small)
-		cfg := def.Base()
-		return buildPrepared(context.Background(), prepConfig(cfg, def.Base()), prepFromSpec(prepFillAge2))
+		cfg := e11.Base()
+		return buildPrepared(context.Background(), prepConfig(cfg, e11.Base()), prepFromSpec(*aged.Prep))
 	}
 
 	c1 := NewStateCache(dir)
@@ -137,14 +138,16 @@ func TestStateCacheDisk(t *testing.T) {
 // TestPrepKeyDistinguishesConfigs: preparation-relevant knobs must change
 // the cache key; measurement-only knobs must not.
 func TestPrepKeyDistinguishesConfigs(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := mustLookup(t, Small, "E3")
+	fillAge := *mustLookupSpec(t, Small, "E3").Prep
+	fill := *mustLookupSpec(t, Small, "E4").Prep
 	base := def.Base()
 	keyOf := func(mut func(*core.Config)) string {
 		cfg := def.Base()
 		if mut != nil {
 			mut(&cfg)
 		}
-		key, err := prepKey(prepConfig(cfg, base), prepFromSpec(prepFillAge))
+		key, err := prepKey(prepConfig(cfg, base), prepFromSpec(fillAge))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +169,7 @@ func TestPrepKeyDistinguishesConfigs(t *testing.T) {
 	if keyOf(func(c *core.Config) { c.Controller.Overprovision = 0.3 }) == ref {
 		t.Fatal("overprovision change did not change the prep key")
 	}
-	fillKey, err := prepKey(prepConfig(def.Base(), base), prepFromSpec(prepFill))
+	fillKey, err := prepKey(prepConfig(def.Base(), base), prepFromSpec(fill))
 	if err != nil {
 		t.Fatal(err)
 	}

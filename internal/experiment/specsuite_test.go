@@ -3,116 +3,131 @@ package experiment
 import (
 	"bytes"
 	"flag"
-	"fmt"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"eagletree/internal/core"
 	"eagletree/internal/spec"
+	"eagletree/specs"
 )
 
 type coreConfig = core.Config
 
-var updateSpecs = flag.Bool("update-specs", false, "rewrite the golden spec files under specs/")
+var updateSpecs = flag.Bool("update-specs", false, "rewrite the suite documents under specs/ in canonical form (and specs/full/golden.txt)")
 
 const specDir = "../../specs"
 
-func specPath(i int) string {
-	return filepath.Join(specDir, fmt.Sprintf("e%d.json", i+1))
-}
-
-// TestGoldenSpecFiles pins the checked-in specs/e*.json files to the
-// byte-exact encodings of the suite's data definitions: the documents a
-// user edits are provably the documents the suite runs. Regenerate with
+// TestGoldenSpecFiles checks every embedded suite document at both scales:
+// it must decode, validate, and already be in canonical form — re-encoding
+// the decoded document reproduces the checked-in bytes exactly, so the file
+// a user edits is the document the suite runs. Rewrite the documents in
+// canonical form with
 //
 //	go test ./internal/experiment -run TestGoldenSpecFiles -args -update-specs
 func TestGoldenSpecFiles(t *testing.T) {
-	specs := SuiteSpecs(Small)
-	for i, e := range specs {
-		want, err := spec.Encode(e)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		path := specPath(i)
-		if *updateSpecs {
-			if err := os.WriteFile(path, want, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v — regenerate with -args -update-specs", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s is stale for %s — regenerate with -args -update-specs", path, e.Name)
-		}
-		doc, err := spec.Decode(got)
-		if err != nil {
-			t.Fatalf("%s does not decode: %v", path, err)
-		}
-		if err := doc.Validate(); err != nil {
-			t.Fatalf("%s does not validate: %v", path, err)
-		}
-	}
-}
-
-// TestSpecSuiteMatchesCompiled is the acceptance gate for the declarative
-// layer: for every E1–E13, running the checked-in spec file must produce
-// Reports bit-identical to the compiled-in definition — and must hit the
-// very same snapshot-cache entries (no re-preparation on the spec path).
-// E11 and E13 additionally run on the parallel runner.
-func TestSpecSuiteMatchesCompiled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-runs the whole suite from spec files; skipped with -short (the race CI leg)")
-	}
-	cache := NewStateCache("")
-	compiled := Suite(Small)
-	for i, def := range compiled {
-		def := def
-		i := i
-		t.Run(def.Name, func(t *testing.T) {
-			data, err := os.ReadFile(specPath(i))
-			if err != nil {
-				t.Fatalf("%v — regenerate with -args -update-specs", err)
-			}
-			doc, err := spec.Decode(data)
+	for _, set := range []struct {
+		name, glob string
+		scale      Scale
+	}{
+		{"small", "e*.json", Small},
+		{"full", "full/e*.json", Full},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			names, err := fs.Glob(specs.FS, set.glob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromFile, err := FromSpec(doc)
-			if err != nil {
-				t.Fatal(err)
+			if n := len(SuiteSpecs(set.scale)); n != len(names) || n != 14 {
+				t.Fatalf("SuiteSpecs decodes %d documents of %d embedded, want all 14 numbered e1..e14", n, len(names))
 			}
-			want, err := RunOpts(def, Options{Workers: 1, Cache: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			entries := cache.Len()
-			got, err := RunOpts(fromFile, Options{Workers: 1, Cache: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cache.Len() != entries {
-				t.Errorf("spec-driven run built %d new prepared states; the compiled path's cache entries should have been hits",
-					cache.Len()-entries)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("spec-driven results differ from compiled-in:\ncompiled: %+v\nspec:     %+v", want, got)
-			}
-			if def.Name == "E11-aging" || def.Name == "E13-trace-replay" {
-				par, err := RunOpts(fromFile, Options{Workers: 4, Cache: cache})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, par) {
-					t.Fatalf("parallel spec-driven results differ from compiled-in")
-				}
+			for _, name := range names {
+				t.Run(path.Base(name), func(t *testing.T) {
+					data, err := fs.ReadFile(specs.FS, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					doc, err := spec.Decode(data)
+					if err != nil {
+						t.Fatalf("does not decode: %v", err)
+					}
+					if err := doc.Validate(); err != nil {
+						t.Fatalf("does not validate: %v", err)
+					}
+					want, err := spec.Encode(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if *updateSpecs {
+						if err := os.WriteFile(filepath.Join(specDir, name), want, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						return
+					}
+					if !bytes.Equal(data, want) {
+						t.Errorf("specs/%s is not in canonical form — rewrite with -args -update-specs", name)
+					}
+				})
 			}
 		})
 	}
+}
+
+// TestSuiteScalesDifferOnlyInScale pairs each specs/eN.json with
+// specs/full/eN.json: the two documents must describe the same experiment,
+// differing only in the workload factor (1 vs 8), the blocks per LUN, and
+// the e13replay capture device (small vs full). An edit to one document of
+// a pair and not the other fails here.
+func TestSuiteScalesDifferOnlyInScale(t *testing.T) {
+	small, full := SuiteSpecs(Small), SuiteSpecs(Full)
+	if len(small) != len(full) {
+		t.Fatalf("%d small documents, %d full", len(small), len(full))
+	}
+	for i := range small {
+		s, f := small[i], full[i]
+		t.Run(s.Name, func(t *testing.T) {
+			if s.Factor != 1 || f.Factor != 8 {
+				t.Errorf("factor small=%d full=%d, want 1 and 8", s.Factor, f.Factor)
+			}
+			a, err := spec.Encode(unscaled(t, s, "small"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := spec.Encode(unscaled(t, f, "full"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("small and full documents differ beyond scale:\nsmall: %s\nfull:  %s", a, b)
+			}
+		})
+	}
+}
+
+// unscaled clears the fields a scale may set — factor, blocks per LUN and
+// the e13replay "scale" parameter, which must name device — so the rest of
+// the document can be compared across scales. The document's parameter maps
+// are modified in place.
+func unscaled(t *testing.T, e spec.Experiment, device string) spec.Experiment {
+	t.Helper()
+	e.Factor = 0
+	e.Base.Geometry.BlocksPerLUN = 0
+	threads := append([]spec.Thread(nil), e.Workload...)
+	for _, v := range e.Variants {
+		threads = append(threads, v.Workload...)
+	}
+	for _, th := range threads {
+		if th.Type != "e13replay" {
+			continue
+		}
+		if got := th.Params["scale"]; got != device {
+			t.Errorf("e13replay scale %v in the %s document", got, device)
+		}
+		delete(th.Params, "scale")
+	}
+	return e
 }
 
 // TestSpecRepeatIndexDoesNotLeak: a thread's repeat expression must see a
@@ -122,7 +137,7 @@ func TestSpecSuiteMatchesCompiled(t *testing.T) {
 func TestSpecRepeatIndexDoesNotLeak(t *testing.T) {
 	e := spec.Experiment{
 		Name: "repeat-leak",
-		Base: E11AgingSpec(Small).Base,
+		Base: mustLookupSpec(t, Small, "E11").Base,
 		Workload: []spec.Thread{
 			{Type: "randwrite", Repeat: 3, Params: map[string]any{"from": 0, "space": "n", "count": 10, "depth": 4}},
 			{Type: "randread", Repeat: "i+1", Params: map[string]any{"from": 0, "space": "n", "count": 10, "depth": 4}},
@@ -149,7 +164,7 @@ func TestSpecRepeatIndexDoesNotLeak(t *testing.T) {
 // compose with variant overrides — the variant mutates the wrapped
 // configuration instead of rebuilding the document's base.
 func TestFromSpecComposesWithBaseOverrides(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := mustLookup(t, Small, "E3")
 	base := def.Base
 	def.Base = func() (cfg coreConfig) {
 		cfg = base()

@@ -1,19 +1,23 @@
-// The predefined experimental suite, E1–E14, expressed as declarative spec
-// documents (internal/spec) rather than compiled closures: each definition
-// below is pure data — a base configuration of named components, a
-// preparation declaration, a workload thread list and a variant grid —
-// resolved through the component registry into a runnable Definition. The
-// golden files under specs/ are the byte-exact JSON encodings of these
-// values, so anything the suite runs a user can run (and edit) from a file.
+// The predefined experimental suite, E1–E14. Each experiment is a spec
+// document embedded from specs/ (specs/eN.json at small scale,
+// specs/full/eN.json at full scale): a base configuration of named
+// components, a preparation declaration, a workload thread list and a
+// variant grid, resolved through the component registry into a runnable
+// Definition. The documents are the suite's only definition, so anything the
+// suite runs a user can run (and edit) from a file.
 package experiment
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"strings"
 
 	"eagletree/internal/core"
 	"eagletree/internal/spec"
 	"eagletree/internal/trace"
 	"eagletree/internal/workload"
+	"eagletree/specs"
 )
 
 // Scale sizes the predefined experiments. Small finishes in tens of
@@ -28,589 +32,100 @@ const (
 	Full
 )
 
-// factor returns the workload multiplier for the scale; spec expressions
-// see it as the variable f.
-func (s Scale) factor() int64 {
-	if s == Full {
-		return 8
+// ErrUnknownScale reports a scale name other than "small" or "full".
+var ErrUnknownScale = errors.New("experiment: unknown scale")
+
+// ErrUnknownExperiment reports a selector that names no suite experiment.
+var ErrUnknownExperiment = errors.New("experiment: no suite experiment matches")
+
+// ParseScale maps a -scale flag value onto a Scale. Only the exact names
+// "small" and "full" parse: a misspelling is an error, never a silent
+// fallback to small scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return Small, nil
+	case "full":
+		return Full, nil
 	}
-	return 1
+	return Small, fmt.Errorf("%w %q (want small or full)", ErrUnknownScale, name)
 }
 
-// baseSpec is the shared starting point of every predefined experiment: a
-// 2×2-LUN SLC SSD small enough to reach steady state quickly. Every
-// component slot is spelled out by name, so the encoded documents are
-// self-describing.
-func baseSpec(s Scale) spec.Config {
-	blocks := 64
-	if s == Full {
-		blocks = 128
-	}
-	return spec.Config{
-		Geometry:      spec.Geometry{Channels: 2, LUNsPerChannel: 2, BlocksPerLUN: blocks, PagesPerBlock: 32, PageSize: 4096},
-		Timing:        spec.NamedRef("slc"),
-		Mapping:       spec.NamedRef("pagemap"),
-		Overprovision: 0.15,
-		GC:            spec.GCSpec{Policy: spec.NamedRef("greedy"), Greediness: 2},
-		WL:            spec.NamedRef("off"),
-		Policy:        spec.NamedRef("fifo"),
-		Alloc:         spec.NamedRef("leastloaded"),
-		Detector:      spec.NamedRef("none"),
-		OS:            spec.OSSpec{Policy: spec.NamedRef("fifo"), QueueDepth: 32},
-		Seed:          7,
-	}
+// ID returns a suite experiment's short identifier: "E3" for
+// "E3-gc-greediness".
+func ID(name string) string {
+	id, _, _ := strings.Cut(name, "-")
+	return id
 }
 
-// Preparation declarations shared by the suite. Declaring preparation (not
-// open-coding fill/age threads) is what lets the runner key the snapshot
-// cache: every variant — and every experiment — sharing a
-// preparation-relevant configuration restores one prepared state.
-var (
-	// prepFill writes the logical space once, sequentially.
-	prepFill = spec.Prep{FillDepth: 32}
-	// prepFillAge additionally overwrites the space randomly once
-	// (uFLIP-style aging into steady state).
-	prepFillAge = spec.Prep{FillDepth: 32, AgePasses: 1}
-	// prepFillAge2 ages harder: two random overwrite passes (E11's aged
-	// device).
-	prepFillAge2 = spec.Prep{FillDepth: 32, AgePasses: 2}
-	// prepNone disables preparation where a variant needs a fresh device.
-	prepNone = spec.Prep{}
-)
-
-func prepOf(p spec.Prep) *spec.Prep { q := p; return &q }
-
-// mustFromSpec resolves suite data; the suite registers only components the
-// registry holds, so failure is a programming error caught by any test that
-// touches the suite.
-func mustFromSpec(e spec.Experiment) Definition {
-	def, err := FromSpec(e)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: suite spec %q: %v", e.Name, err))
-	}
-	return def
+// Matches reports whether sel selects the named experiment: its short ID
+// ("e3") or its full name, case-insensitively. Lookup and
+// `eagletree sweep -run` both select by this rule.
+func Matches(name, sel string) bool {
+	return strings.EqualFold(ID(name), sel) || strings.EqualFold(name, sel)
 }
 
-// E1ParallelismSpec sweeps the array shape — channels and LUNs per channel —
-// under a parallel random-write load (Figure 1's hardware design space).
-// Expected shape: throughput scales with channels×LUNs until the channel
-// saturates; more LUNs per channel help less than more channels.
-func E1ParallelismSpec(s Scale) spec.Experiment {
-	shape := func(ch, luns int) spec.Variant {
-		return spec.Variant{
-			Label: fmt.Sprintf("ch=%d,luns/ch=%d", ch, luns),
-			X:     float64(ch * luns),
-			Set: map[string]any{
-				"geometry.channels":         ch,
-				"geometry.luns_per_channel": luns,
-			},
-		}
-	}
-	return spec.Experiment{
-		Name:   "E1-parallelism",
-		Doc:    "hardware design space (Fig. 1): throughput scales with channels×LUNs until the channel saturates",
-		Varies: "geometry: channels × LUNs/channel",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Workload: []spec.Thread{
-			{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": "2000*f", "depth": 64}},
-		},
-		Variants: []spec.Variant{
-			shape(1, 1), shape(1, 2), shape(1, 4),
-			shape(2, 2), shape(2, 4),
-			shape(4, 2), shape(4, 4),
-			shape(8, 4),
-		},
-	}
-}
-
-// E2SchedPolicySpec compares SSD scheduling policies under a mixed
-// read/write load on an aged device (§3: "prioritizing between application
-// reads and writes is not always easy"). Expected shape: reads-first cuts
-// read latency but inflates write latency and vice versa; deadline bounds
-// the tails.
-func E2SchedPolicySpec(s Scale) spec.Experiment {
-	policy := func(label string, ref spec.Ref) spec.Variant {
-		return spec.Variant{Label: label, Set: map[string]any{"policy": ref}}
-	}
-	return spec.Experiment{
-		Name:   "E2-sched-policy",
-		Doc:    "SSD scheduling policy trade-offs on an aged device (§3)",
-		Varies: "policy: fifo | reads-first | writes-first | deadline",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFillAge),
-		Workload: []spec.Thread{
-			{Type: "randread", Params: map[string]any{"from": 0, "space": "n", "count": "1500*f", "depth": 16}},
-			{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": "1500*f", "depth": 16}},
-		},
-		Variants: []spec.Variant{
-			policy("fifo", spec.NamedRef("fifo")),
-			policy("reads-first", spec.ParamRef("priority", map[string]any{"prefer": "reads"})),
-			policy("writes-first", spec.ParamRef("priority", map[string]any{"prefer": "writes"})),
-			policy("deadline", spec.ParamRef("deadline", map[string]any{
-				"read_deadline":  "2ms",
-				"write_deadline": "20ms",
-			})),
-		},
-	}
-}
-
-// E3GCGreedinessSpec sweeps the GC greediness parameter (free blocks per LUN
-// target) under steady-state random overwrite (§2.2). Expected shape: lazier
-// GC (smaller greediness) lowers write amplification but stretches the write
-// tail; greedier GC smooths latency at more migrations.
-func E3GCGreedinessSpec(s Scale) spec.Experiment {
-	level := func(g int) spec.Variant {
-		return spec.Variant{
-			Label: fmt.Sprintf("greediness=%d", g),
-			X:     float64(g),
-			Set:   map[string]any{"gc.greediness": g},
-		}
-	}
-	return spec.Experiment{
-		Name:   "E3-gc-greediness",
-		Doc:    "GC greediness: write amplification vs write-tail latency (§2.2)",
-		Varies: "gc.greediness: 1 | 2 | 4 | 8",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFillAge),
-		Workload: []spec.Thread{
-			{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": "2*n", "depth": 32}},
-		},
-		Variants: []spec.Variant{level(1), level(2), level(4), level(8)},
-	}
-}
-
-// E4WearLevelingSpec compares WL modes under a skewed (hot/cold) overwrite
-// load (§2.2). Expected shape: wear leveling narrows the erase-count spread
-// at a small throughput cost; static+dynamic narrows it most.
-func E4WearLevelingSpec(s Scale) spec.Experiment {
-	mode := func(name string) spec.Variant {
-		return spec.Variant{
-			Label: "wl=" + name,
-			Set: map[string]any{
-				"wl": spec.ParamRef(name, map[string]any{"check_interval": "5ms"}),
-			},
-		}
-	}
-	return spec.Experiment{
-		Name:   "E4-wear-leveling",
-		Doc:    "wear-leveling modes under skewed overwrite: erase-count spread vs throughput (§2.2)",
-		Varies: "wl: off | static | dynamic | full",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFill),
-		Workload: []spec.Thread{
-			{Type: "zipf", Params: map[string]any{"from": 0, "space": "n", "count": "4*n*f/2", "exponent": 1.2, "depth": 32}},
-		},
-		Variants: []spec.Variant{
-			mode("off"), mode("static"), mode("dynamic"),
-			{Label: "wl=static+dynamic", Set: map[string]any{
-				"wl": spec.ParamRef("full", map[string]any{"check_interval": "5ms"}),
-			}},
-		},
-	}
-}
-
-// E5MappingSpec compares the RAM page map against DFTL across CMT sizes
-// under random IO over the whole space (§2.2). Expected shape: DFTL
-// approaches the page map as the CMT grows; small CMTs pay translation reads
-// and dirty eviction writes on most accesses.
-func E5MappingSpec(s Scale) spec.Experiment {
-	dftl := func(cmt int) spec.Variant {
-		return spec.Variant{
-			Label: fmt.Sprintf("dftl,cmt=%d", cmt),
-			X:     float64(cmt),
-			Set: map[string]any{
-				"mapping": spec.ParamRef("dftl", map[string]any{"cmt": cmt, "trans_blocks": 4}),
-			},
-		}
-	}
-	return spec.Experiment{
-		Name:   "E5-mapping",
-		Doc:    "page map vs demand-cached DFTL across CMT sizes (§2.2)",
-		Varies: "mapping: pagemap | dftl(cmt)",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFill),
-		Workload: []spec.Thread{
-			{Type: "mix", Params: map[string]any{"from": 0, "space": "n", "count": "1500*f", "read_fraction": 0.5, "depth": 16}},
-		},
-		Variants: []spec.Variant{
-			{Label: "pagemap", X: 0},
-			dftl(128), dftl(512), dftl(2048), dftl(8192),
-		},
-	}
-}
-
-// E6PriorityTagSpec measures what the open interface's priority tag buys a
-// latency-critical reader competing with a background writer (§2.2
-// "Priorities"). Expected shape: with tags honored, tagged reads jump the
-// queue and their latency collapses; block-device mode treats them like
-// everything else.
-func E6PriorityTagSpec(s Scale) spec.Experiment {
-	base := baseSpec(s)
-	base.Policy = spec.ParamRef("priority", map[string]any{"use_tags": true})
-	return spec.Experiment{
-		Name:   "E6-priority-tag",
-		Doc:    "open-interface priority tags: tagged reads jump the queue (§2.2)",
-		Varies: "open_interface: block-device | open",
-		Factor: s.factor(),
-		Base:   base,
-		Prep:   prepOf(prepFillAge),
-		Workload: []spec.Thread{
-			{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": "3200*f", "depth": 32}},
-			{Type: "randread", Params: map[string]any{"from": 0, "space": "n", "count": "800*f", "depth": 4, "priority": 1}},
-		},
-		Variants: []spec.Variant{
-			{Label: "block-device", Set: map[string]any{"open_interface": false}},
-			{Label: "open-interface", Set: map[string]any{"open_interface": true}},
-		},
-	}
-}
-
-// E7UpdateLocalitySpec measures the update-locality hint (§2.2): a
-// file-system workload whose files are overwritten and deleted as units.
-// Expected shape: with locality tags each file's pages share physical
-// blocks, so deletions and overwrites invalidate whole blocks and GC
-// migrates less (lower WA).
-//
-// Four concurrent file systems interleave their writes at the SSD: without
-// locality tags the shared write frontier mixes files from different threads
-// into the same physical blocks, so when a file dies its block survives with
-// live remnants. File size is centered on one erase block — the case where a
-// tagged file dies as a whole block but an untagged one straddles. The extra
-// physical headroom exists because locality streams pin one open block each
-// per LUN, which must not consume the whole GC slack.
-func E7UpdateLocalitySpec(s Scale) spec.Experiment {
-	base := baseSpec(s)
-	base.OpenInterface = true
-	base.Geometry.BlocksPerLUN += 32
-	return spec.Experiment{
-		Name:   "E7-update-locality",
-		Doc:    "update-locality hints: files die as whole blocks, GC migrates less (§2.2)",
-		Varies: "locality tags: untagged | tagged",
-		Factor: s.factor(),
-		Base:   base,
-		Workload: []spec.Thread{
-			{Type: "fs", Repeat: 4, Params: map[string]any{
-				"from":            "i*(n*3/4/4)",
-				"space":           "n*3/4/4",
-				"ops":             "2000*f",
-				"depth":           8,
-				"mean_file_pages": "ppb",
-				"tag_locality":    true,
-			}},
-		},
-		Variants: []spec.Variant{
-			{Label: "untagged", Set: map[string]any{"lock_bus": true, "open_interface": false}},
-			{Label: "locality-tags"},
-		},
-	}
-}
-
-// E8TemperatureSpec compares temperature sources for hot/cold stream
-// separation (§2.2 "Temperatures" + the bloom-filter detector): none, the
-// multi-bloom detector, and oracle tags through the open interface. Expected
-// shape: any separation lowers WA under skew; oracle ≥ detector ≥ none.
-func E8TemperatureSpec(s Scale) spec.Experiment {
-	zipf := func(oracle bool) spec.Thread {
-		return spec.Thread{Type: "zipf", Params: map[string]any{
-			"from": 0, "space": "n", "count": "3*n*f", "exponent": 1.2, "depth": 32,
-			"tag_temperature": oracle, "hot_fraction": 0.2, "scramble": true,
-		}}
-	}
-	base := baseSpec(s)
-	base.OpenInterface = true
-	return spec.Experiment{
-		Name:     "E8-temperature",
-		Doc:      "hot/cold separation sources: none vs bloom detector vs oracle tags (§2.2)",
-		Varies:   "detector: none | mbf | oracle tags",
-		Factor:   s.factor(),
-		Base:     base,
-		Prep:     prepOf(prepFill),
-		Workload: []spec.Thread{zipf(false)},
-		Variants: []spec.Variant{
-			{Label: "none"},
-			{Label: "bloom-detector", Set: map[string]any{"detector": spec.NamedRef("mbf")}},
-			{Label: "oracle-tags", Workload: []spec.Thread{zipf(true)}},
-		},
-	}
-}
-
-// E9QueueDepthSpec sweeps the OS queue depth under random reads on a full
-// device (§2.1 "How many outstanding IOs should be submitted to the SSD?").
-// Expected shape: throughput climbs with depth until every LUN stays busy,
-// then plateaus while latency keeps growing — the classic knee. The thread
-// runs closed-loop at the swept depth (the expression qd), so the variant
-// controls the offered concurrency end to end.
-func E9QueueDepthSpec(s Scale) spec.Experiment {
-	depth := func(d int) spec.Variant {
-		return spec.Variant{
-			Label: fmt.Sprintf("depth=%d", d),
-			X:     float64(d),
-			Set:   map[string]any{"os.queue_depth": d},
-		}
-	}
-	return spec.Experiment{
-		Name:   "E9-queue-depth",
-		Doc:    "OS queue depth: the throughput/latency knee (§2.1)",
-		Varies: "os.queue_depth: 1 … 64",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFill),
-		Workload: []spec.Thread{
-			{Type: "randread", Params: map[string]any{"from": 0, "space": "n", "count": "2000*f", "depth": "qd"}},
-		},
-		Variants: []spec.Variant{
-			depth(1), depth(2), depth(4), depth(8), depth(16), depth(32), depth(64),
-		},
-	}
-}
-
-// E10AdvancedCmdsSpec toggles the advanced chip commands under GC-heavy
-// overwrite (§2.2 "aggressiveness of interleaving and copy-back"). Expected
-// shape: copyback accelerates GC by skipping channel transfers; interleaving
-// overlaps transfers with array operations; both combine.
-func E10AdvancedCmdsSpec(s Scale) spec.Experiment {
-	feat := func(label string, copyback, interleave bool) spec.Variant {
-		return spec.Variant{Label: label, Set: map[string]any{
-			"features.copyback":     copyback,
-			"features.interleaving": interleave,
-			"gc.copyback":           copyback,
-		}}
-	}
-	return spec.Experiment{
-		Name:   "E10-advanced-cmds",
-		Doc:    "advanced chip commands: copyback and interleaving under GC pressure (§2.2)",
-		Varies: "features: copyback × interleaving",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFillAge),
-		Workload: []spec.Thread{
-			{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": "2*n", "depth": 32}},
-		},
-		Variants: []spec.Variant{
-			feat("baseline", false, false),
-			feat("copyback", true, false),
-			feat("interleaving", false, true),
-			feat("copyback+interleaving", true, true),
-		},
-	}
-}
-
-// E11AgingSpec contrasts a fresh device with an aged one under the same
-// random write burst (§2.3's device-preparation methodology, after uFLIP).
-// Expected shape: the aged device is markedly slower and shows WA > 1 —
-// which is why experiments must prepare the device before measuring.
-func E11AgingSpec(s Scale) spec.Experiment {
-	return spec.Experiment{
-		Name:   "E11-aging",
-		Doc:    "device preparation matters: fresh vs aged under one write burst (§2.3)",
-		Varies: "preparation: none | fill+age",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Workload: []spec.Thread{
-			{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": "n/2", "depth": 32}},
-		},
-		Variants: []spec.Variant{
-			{Label: "fresh", Prep: prepOf(prepNone)},
-			{Label: "aged", Prep: prepOf(prepFillAge2)},
-		},
-	}
-}
-
-// E12GameSpec exhaustively searches a subset of the SSD scheduling design
-// space — read/write preference × internal-IO ordering — for the combination
-// maximizing the game score on a fixed mixed workload (§3's game). Expected
-// shape: the optimum is a non-obvious combination; single-axis intuition
-// ("always prioritize reads", "always defer GC") loses.
-// The E12 sweep is a grid document: the preference and internal-order axes
-// cross-product into the 9 combinations at expansion time instead of being
-// listed by hand. The first axis swaps in the priority policy with its
-// preference; the second overrides that component's internal parameter
-// through a "slot.param" path, so the axes stay independent dimensions.
-func E12GameSpec(s Scale) spec.Experiment {
-	var prefer, internal []spec.Variant
-	for _, pf := range []string{"none", "reads", "writes"} {
-		prefer = append(prefer, spec.Variant{
-			Label: "prefer=" + pf,
-			Set: map[string]any{
-				"policy": spec.ParamRef("priority", map[string]any{"prefer": pf}),
-			},
-		})
-	}
-	for _, in := range []string{"equal", "last", "first"} {
-		internal = append(internal, spec.Variant{
-			Label: "internal=" + in,
-			Set:   map[string]any{"policy.internal": in},
-		})
-	}
-	return spec.Experiment{
-		Name:   "E12-game",
-		Doc:    "the scheduling game (§3): search preference × internal-IO order for the best composite score",
-		Varies: "policy: prefer × internal (9 combinations)",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFillAge),
-		Workload: []spec.Thread{
-			{Type: "mix", Params: map[string]any{"from": 0, "space": "n", "count": "1000*f", "read_fraction": 0.6, "depth": 24}},
-		},
-		Grid: []spec.Axis{
-			{Name: "prefer", Variants: prefer},
-			{Name: "internal", Variants: internal},
-		},
-	}
-}
-
-// E13TraceReplaySpec closes the loop on the trace subsystem: the aged
-// file-system workload is captured once (the e13replay thread type memoizes
-// it per scale), then the identical IO stream is replayed across scheduler
-// and GC variants and across replay modes (§2.3's repeatability methodology
-// applied to real streams instead of synthetic generators). Expected shape:
-// closed-loop variants reproduce the E2/E3 policy trade-offs on a realistic
-// stream; open-loop at the captured rate shows queueing when a variant falls
-// behind; time-scale 0.5 doubles the offered rate and stresses the tail.
-func E13TraceReplaySpec(s Scale) spec.Experiment {
-	device := "small"
-	if s == Full {
-		device = "full"
-	}
-	replay := func(mode string, scale float64) []spec.Thread {
-		return []spec.Thread{{Type: "e13replay", Params: map[string]any{
-			"mode": mode, "time_scale": scale, "depth": 16, "scale": device,
-		}}}
-	}
-	policy := func(label string, ref spec.Ref) spec.Variant {
-		return spec.Variant{Label: label, Set: map[string]any{"policy": ref}}
-	}
-	return spec.Experiment{
-		Name:     "E13-trace-replay",
-		Doc:      "trace capture & replay: one aged-FS stream across policies and pacing modes (§2.3)",
-		Varies:   "policy / gc.greediness / replay mode",
-		Factor:   s.factor(),
-		Base:     baseSpec(s),
-		Prep:     prepOf(prepFillAge),
-		Workload: replay("closed", 1),
-		Variants: []spec.Variant{
-			{Label: "closed,fifo"},
-			policy("closed,reads-first", spec.ParamRef("priority", map[string]any{"prefer": "reads"})),
-			policy("closed,writes-first", spec.ParamRef("priority", map[string]any{"prefer": "writes"})),
-			{Label: "closed,gc-greediness=1", Set: map[string]any{"gc.greediness": 1}},
-			{Label: "closed,gc-greediness=8", Set: map[string]any{"gc.greediness": 8}},
-			{Label: "open,1x", Workload: replay("open", 1)},
-			{Label: "open,0.5x", Workload: replay("open", 0.5)},
-			{Label: "dependent", Workload: replay("dependent", 1)},
-		},
-	}
-}
-
-// E14ReliabilitySpec sweeps the grown-bad-block growth rate under
-// steady-state random overwrite on an aged device: the fault model fails a
-// fraction of erases (retiring the victim block) and a smaller fraction of
-// programs (the write refires elsewhere; one in ten failing blocks grows
-// bad). Expected shape: throughput degrades gently and write amplification
-// rises as retirement eats the over-provisioning slack — effective OP in the
-// report falls with the rate while the device keeps serving IO.
-func E14ReliabilitySpec(s Scale) spec.Experiment {
-	rate := func(ef float64) spec.Variant {
-		return spec.Variant{
-			Label: fmt.Sprintf("erase_fail=%g", ef),
-			X:     ef,
-			Set: map[string]any{
-				"fault": spec.ParamRef("random", map[string]any{
-					"program_fail": 0.0005,
-					"erase_fail":   ef,
-					"grown_bad":    0.1,
-					"seed":         11,
-				}),
-			},
-		}
-	}
-	return spec.Experiment{
-		Name:   "E14-reliability",
-		Doc:    "graceful degradation under grown bad blocks: throughput and effective OP vs failure rate",
-		Varies: "fault: none | random(erase_fail)",
-		Factor: s.factor(),
-		Base:   baseSpec(s),
-		Prep:   prepOf(prepFillAge),
-		Workload: []spec.Thread{
-			{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": "2*n", "depth": 32}},
-		},
-		Variants: []spec.Variant{
-			{Label: "fault=none", X: 0},
-			rate(0.001), rate(0.002), rate(0.003),
-		},
-	}
-}
-
-// Compiled accessors, resolving the spec data above. They keep the
-// historical API: tests and callers get runnable Definitions.
-
-// E1Parallelism resolves E1ParallelismSpec.
-func E1Parallelism(s Scale) Definition { return mustFromSpec(E1ParallelismSpec(s)) }
-
-// E2SchedPolicy resolves E2SchedPolicySpec.
-func E2SchedPolicy(s Scale) Definition { return mustFromSpec(E2SchedPolicySpec(s)) }
-
-// E3GCGreediness resolves E3GCGreedinessSpec.
-func E3GCGreediness(s Scale) Definition { return mustFromSpec(E3GCGreedinessSpec(s)) }
-
-// E4WearLeveling resolves E4WearLevelingSpec.
-func E4WearLeveling(s Scale) Definition { return mustFromSpec(E4WearLevelingSpec(s)) }
-
-// E5Mapping resolves E5MappingSpec.
-func E5Mapping(s Scale) Definition { return mustFromSpec(E5MappingSpec(s)) }
-
-// E6PriorityTag resolves E6PriorityTagSpec.
-func E6PriorityTag(s Scale) Definition { return mustFromSpec(E6PriorityTagSpec(s)) }
-
-// E7UpdateLocality resolves E7UpdateLocalitySpec.
-func E7UpdateLocality(s Scale) Definition { return mustFromSpec(E7UpdateLocalitySpec(s)) }
-
-// E8Temperature resolves E8TemperatureSpec.
-func E8Temperature(s Scale) Definition { return mustFromSpec(E8TemperatureSpec(s)) }
-
-// E9QueueDepth resolves E9QueueDepthSpec.
-func E9QueueDepth(s Scale) Definition { return mustFromSpec(E9QueueDepthSpec(s)) }
-
-// E10AdvancedCmds resolves E10AdvancedCmdsSpec.
-func E10AdvancedCmds(s Scale) Definition { return mustFromSpec(E10AdvancedCmdsSpec(s)) }
-
-// E11Aging resolves E11AgingSpec.
-func E11Aging(s Scale) Definition { return mustFromSpec(E11AgingSpec(s)) }
-
-// E12Game resolves E12GameSpec.
-func E12Game(s Scale) Definition { return mustFromSpec(E12GameSpec(s)) }
-
-// E13TraceReplay resolves E13TraceReplaySpec.
-func E13TraceReplay(s Scale) Definition { return mustFromSpec(E13TraceReplaySpec(s)) }
-
-// E14Reliability resolves E14ReliabilitySpec.
-func E14Reliability(s Scale) Definition { return mustFromSpec(E14ReliabilitySpec(s)) }
-
-// SuiteSpecs returns every predefined experiment as spec data at the given
-// scale, in paper order. Encode any element to get its portable document —
-// the checked-in specs/*.json files are exactly that.
+// SuiteSpecs decodes the embedded suite documents at the given scale, in
+// paper order (e1.json, e2.json, …). Encoding any element reproduces its
+// checked-in file byte for byte.
 func SuiteSpecs(s Scale) []spec.Experiment {
-	return []spec.Experiment{
-		E1ParallelismSpec(s), E2SchedPolicySpec(s), E3GCGreedinessSpec(s), E4WearLevelingSpec(s),
-		E5MappingSpec(s), E6PriorityTagSpec(s), E7UpdateLocalitySpec(s), E8TemperatureSpec(s),
-		E9QueueDepthSpec(s), E10AdvancedCmdsSpec(s), E11AgingSpec(s), E12GameSpec(s),
-		E13TraceReplaySpec(s), E14ReliabilitySpec(s),
+	dir := ""
+	if s == Full {
+		dir = "full/"
+	}
+	var docs []spec.Experiment
+	for i := 1; ; i++ {
+		name := fmt.Sprintf("%se%d.json", dir, i)
+		data, err := fs.ReadFile(specs.FS, name)
+		if errors.Is(err, fs.ErrNotExist) {
+			return docs
+		}
+		var doc spec.Experiment
+		if err == nil {
+			doc, err = spec.Decode(data)
+		}
+		if err != nil {
+			// The documents are compiled into the binary and round-trip
+			// checked by the tests; a failure here is a build defect.
+			panic(fmt.Sprintf("experiment: embedded suite document specs/%s: %v", name, err))
+		}
+		docs = append(docs, doc)
 	}
 }
 
 // Suite returns every predefined experiment at the given scale, in paper
 // order, resolved through the component registry.
 func Suite(s Scale) []Definition {
-	specs := SuiteSpecs(s)
-	defs := make([]Definition, len(specs))
-	for i, e := range specs {
-		defs[i] = mustFromSpec(e)
+	docs := SuiteSpecs(s)
+	defs := make([]Definition, len(docs))
+	for i, e := range docs {
+		def, err := FromSpec(e)
+		if err != nil {
+			panic(fmt.Sprintf("experiment: suite spec %q: %v", e.Name, err))
+		}
+		defs[i] = def
 	}
 	return defs
+}
+
+// Lookup resolves one suite experiment at the given scale, selected by
+// short ID ("E3") or full name ("E3-gc-greediness") as Matches defines. An
+// unmatched selector wraps ErrUnknownExperiment.
+func Lookup(s Scale, id string) (Definition, error) {
+	doc, err := lookupSpec(s, id)
+	if err != nil {
+		return Definition{}, err
+	}
+	return FromSpec(doc)
+}
+
+func lookupSpec(s Scale, id string) (spec.Experiment, error) {
+	for _, e := range SuiteSpecs(s) {
+		if Matches(e.Name, id) {
+			return e, nil
+		}
+	}
+	return spec.Experiment{}, fmt.Errorf("%w %q (try 'eagletree list')", ErrUnknownExperiment, id)
 }
 
 // GameWeights scores the demonstration game: maximize throughput while
@@ -648,12 +163,17 @@ func (w GameWeights) Score(r core.Report) float64 {
 
 // CaptureE13Trace records the E13 reference workload: a file-system churn on
 // an aged device, captured at the OS scheduler layer after the measurement
-// barrier. The result is fully determined by the scale, so every caller gets
-// the identical trace.
+// barrier. The capture device is the E13 document's base configuration, and
+// the churn scales with its factor. The result is fully determined by the
+// scale, so every caller gets the identical trace.
 func CaptureE13Trace(s Scale) *trace.Trace {
+	doc, err := lookupSpec(s, "E13")
+	if err != nil {
+		panic(fmt.Sprintf("experiment: E13 capture spec: %v", err))
+	}
 	cap := trace.NewCapture()
 	cap.Stop() // stay silent through device preparation
-	cfg, err := baseSpec(s).Resolve()
+	cfg, err := doc.Base.Resolve()
 	if err != nil {
 		panic(fmt.Sprintf("experiment: E13 capture config: %v", err))
 	}
@@ -669,7 +189,7 @@ func CaptureE13Trace(s Scale) *trace.Trace {
 	arm := st.Add(&workload.Func{F: func(ctx *workload.Ctx) { cap.Start(ctx.Now()) }}, barrier)
 	ppb := cfg.Controller.Geometry.PagesPerBlock
 	st.Add(&workload.FileSystem{
-		From: 0, Space: n * 3 / 4, Ops: 1200 * s.factor(), Depth: 8,
+		From: 0, Space: n * 3 / 4, Ops: 1200 * doc.Factor, Depth: 8,
 		MeanFilePages: ppb,
 	}, arm)
 	st.Run()

@@ -1,13 +1,70 @@
 package experiment
 
 import (
+	"errors"
 	"testing"
+
+	"eagletree/internal/spec"
 )
+
+// mustLookup resolves one suite experiment, failing the test on error.
+func mustLookup(tb testing.TB, s Scale, id string) Definition {
+	tb.Helper()
+	def, err := Lookup(s, id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return def
+}
+
+// mustLookupSpec returns one suite experiment's document, failing the test
+// on error.
+func mustLookupSpec(tb testing.TB, s Scale, id string) spec.Experiment {
+	tb.Helper()
+	doc, err := lookupSpec(s, id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return doc
+}
+
+// TestLookup selects suite experiments by short ID or full name, in any
+// case, and reports an unmatched selector with the typed error.
+func TestLookup(t *testing.T) {
+	for _, id := range []string{"E3", "e3", "E3-gc-greediness", "e3-GC-Greediness"} {
+		if def := mustLookup(t, Small, id); def.Name != "E3-gc-greediness" {
+			t.Errorf("Lookup(%q) = %s", id, def.Name)
+		}
+	}
+	if def := mustLookup(t, Full, "e14"); def.Name != "E14-reliability" {
+		t.Errorf("Lookup(Full, e14) = %s", def.Name)
+	}
+	for _, id := range []string{"", "E15", "E1-", "gc-greediness", "all"} {
+		if _, err := Lookup(Small, id); !errors.Is(err, ErrUnknownExperiment) {
+			t.Errorf("Lookup(%q) err = %v, want ErrUnknownExperiment", id, err)
+		}
+	}
+}
+
+// TestParseScale accepts exactly "small" and "full"; anything else is the
+// typed error rather than a silent fallback to small scale.
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]Scale{"small": Small, "full": Full} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v", name, got, err)
+		}
+	}
+	for _, name := range []string{"", "Full", "fulll", "SMALL", " full"} {
+		if _, err := ParseScale(name); !errors.Is(err, ErrUnknownScale) {
+			t.Errorf("ParseScale(%q) err = %v, want ErrUnknownScale", name, err)
+		}
+	}
+}
 
 // TestSuiteDefinitionsRun executes every predefined experiment at small
 // scale and sanity-checks that each produced a full row set with completed
-// IO. Shape assertions (who wins) live in the root bench harness and in
-// EXPERIMENTS.md; this test guards that the definitions stay runnable.
+// IO. Shape assertions (who wins) live in the root bench harness and the
+// shape tests below; this test guards that the definitions stay runnable.
 func TestSuiteDefinitionsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every suite definition; skipped with -short (the race CI leg)")
@@ -36,7 +93,7 @@ func TestSuiteDefinitionsRun(t *testing.T) {
 }
 
 func TestE1ParallelismShape(t *testing.T) {
-	res, err := Run(E1Parallelism(Small))
+	res, err := Run(mustLookup(t, Small, "E1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +106,7 @@ func TestE1ParallelismShape(t *testing.T) {
 }
 
 func TestE2PolicyTradeoffShape(t *testing.T) {
-	res, err := Run(E2SchedPolicy(Small))
+	res, err := Run(mustLookup(t, Small, "E2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +124,7 @@ func TestE2PolicyTradeoffShape(t *testing.T) {
 }
 
 func TestE9QueueDepthShape(t *testing.T) {
-	res, err := Run(E9QueueDepth(Small))
+	res, err := Run(mustLookup(t, Small, "E9"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +139,7 @@ func TestE9QueueDepthShape(t *testing.T) {
 }
 
 func TestE11AgingShape(t *testing.T) {
-	res, err := Run(E11Aging(Small))
+	res, err := Run(mustLookup(t, Small, "E11"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +153,7 @@ func TestE11AgingShape(t *testing.T) {
 }
 
 func TestGameScoreOrdersRuns(t *testing.T) {
-	res, err := Run(E12Game(Small))
+	res, err := Run(mustLookup(t, Small, "E12"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,10 @@ func TimingMLC() Timing { return flash.TimingMLC() }
 type (
 	// LPN is a logical page number.
 	LPN = iface.LPN
-	// Request is one IO traveling through the stack.
+	// Request is one IO traveling through the stack. Application requests
+	// are pooled: the one Ctx.Submit returns, and the one a Thread's
+	// OnComplete receives, is valid only until that OnComplete returns, after
+	// which it is reused for a later IO. Copy any field needed afterwards.
 	Request = iface.Request
 	// Tags is open-interface request metadata.
 	Tags = iface.Tags
@@ -306,6 +309,7 @@ type (
 // Workload layer.
 type (
 	// Thread is a simulated application: Init plus a completion callback.
+	// The request passed to OnComplete is valid only until it returns.
 	Thread = workload.Thread
 	// Ctx is a thread's window onto the stack.
 	Ctx = workload.Ctx

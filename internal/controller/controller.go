@@ -348,6 +348,7 @@ type Controller struct {
 	dispatchFn   func(any)
 	ioDoneFn     func(any)
 	flushFn      func(any)
+	wlScanFn     func()
 
 	// Readiness epochs. Every mutation of a readiness input bumps the
 	// matching epoch, so cached Evaluate inputs are reused exactly while
@@ -456,6 +457,7 @@ func New(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config) (*Co
 	c.dispatchFn = func(any) { c.dispPend = false; c.dispatch() }
 	c.ioDoneFn = c.ioDone
 	c.flushFn = c.flushDone
+	c.wlScanFn = c.wlScanFire
 	c.mem = NewMemoryManager(cfg.RAMBytes, cfg.SafeRAMBytes)
 	if err := c.mem.Reserve("mapping", mapper.RAMBytes(), false); err != nil {
 		return nil, err

@@ -385,6 +385,76 @@ func TestControllerWriteBufferBackpressure(t *testing.T) {
 	}
 }
 
+// TestControllerWriteBufferStallQueue feeds a second wave of writes into the
+// stall queue while the first wave is still draining from its front:
+// stalled writes are admitted in arrival order, the quiescence check counts
+// only the writes still waiting, and it passes once they drain.
+func TestControllerWriteBufferStallQueue(t *testing.T) {
+	r := newRig(t, func(cfg *Config) {
+		cfg.WriteBufferPages = 2
+	})
+	for i := 0; i < 20; i++ {
+		r.submit(iface.Write, iface.LPN(i))
+	}
+	r.eng.Run(sim.Time(sim.Millisecond))
+	stalled := r.ctl.buffer.waiting.Len()
+	if stalled == 0 || stalled == 18 {
+		t.Fatalf("%d writes stalled after 1ms, want the queue partly drained", stalled)
+	}
+	if err := r.ctl.checkQuiescent(); err == nil {
+		t.Fatal("quiescence check passed with writes stalled")
+	}
+	for i := 20; i < 40; i++ {
+		r.submit(iface.Write, iface.LPN(i))
+	}
+	r.run()
+	if len(r.done) != 40 {
+		t.Fatalf("completions = %d, want 40", len(r.done))
+	}
+	for i, req := range r.done {
+		if req.LPN != iface.LPN(i) {
+			t.Fatalf("completion %d is LPN %d: stalled writes left out of arrival order", i, req.LPN)
+		}
+	}
+	if err := r.ctl.checkQuiescent(); err != nil {
+		t.Fatalf("drained controller not quiescent: %v", err)
+	}
+}
+
+// TestControllerFinishReadsRequestBeforeOnComplete pins the completion
+// ownership rule: once OnComplete returns, an application request belongs to
+// its issuer, which may recycle it at once. Here the issuer overwrites every
+// request it gets back so it looks like an internal one; the controller must
+// have decided ownership before the callback, so no application request may
+// land in its internal-request pool.
+func TestControllerFinishReadsRequestBeforeOnComplete(t *testing.T) {
+	var app []*iface.Request
+	r := newRig(t, func(cfg *Config) {
+		cfg.OnComplete = func(req *iface.Request) {
+			app = append(app, req)
+			*req = iface.Request{ID: 1 << 62, Source: iface.SourceGC}
+		}
+	})
+	for i := 0; i < 8; i++ {
+		r.submit(iface.Write, iface.LPN(i))
+	}
+	r.run()
+	for i := 0; i < 8; i++ {
+		r.submit(iface.Read, iface.LPN(i))
+	}
+	r.run()
+	if len(app) != 16 {
+		t.Fatalf("completions = %d, want 16", len(app))
+	}
+	for _, pooled := range r.ctl.reqPool {
+		for _, a := range app {
+			if pooled == a {
+				t.Fatalf("application request %p was recycled into the controller's internal pool", a)
+			}
+		}
+	}
+}
+
 func TestControllerSchedulingPolicyHonored(t *testing.T) {
 	// With reads-first priority, a read submitted after a burst of writes
 	// should complete before most of the writes.

@@ -491,9 +491,12 @@ func (c *Controller) finish(r *iface.Request, at sim.Time) {
 		}
 	}
 	c.unblockSuccessors(st)
-	// Detach before any callback below: OnComplete may synchronously submit
-	// new IOs, possibly reusing this very request object.
+	// Detach and read everything still needed from r before any callback
+	// below: OnComplete may synchronously submit new IOs, and once it
+	// returns the application request belongs to its issuer again, which
+	// may already have recycled it.
 	r.Ctl = nil
+	ownReq := st.buffered || r.Source != iface.SourceApp
 
 	switch st.kind {
 	case opGCWrite, opGCCopyback:
@@ -542,7 +545,6 @@ func (c *Controller) finish(r *iface.Request, at sim.Time) {
 		c.array.Prune(c.eng.Now())
 	}
 	c.scheduleDispatch()
-	ownReq := st.buffered || r.Source != iface.SourceApp
 	c.freeState(st)
 	if ownReq {
 		c.recycleRequest(r)

@@ -175,15 +175,18 @@ func (c *Controller) scheduleWLScan() {
 		return
 	}
 	c.wlScanArmed = true
-	c.wlScanEv = c.eng.ScheduleAfter(c.cfg.WL.CheckInterval, func() {
-		c.wlScanArmed = false
-		if c.opsSinceScan == 0 {
-			return // quiet device: stop scanning until traffic resumes
-		}
-		c.opsSinceScan = 0
-		c.wlScan()
-		c.scheduleWLScan()
-	})
+	c.wlScanEv = c.eng.ScheduleAfter(c.cfg.WL.CheckInterval, c.wlScanFn)
+}
+
+// wlScanFire is the static-WL scan timer's body, bound once to wlScanFn.
+func (c *Controller) wlScanFire() {
+	c.wlScanArmed = false
+	if c.opsSinceScan == 0 {
+		return // quiet device: stop scanning until traffic resumes
+	}
+	c.opsSinceScan = 0
+	c.wlScan()
+	c.scheduleWLScan()
 }
 
 // wlScan migrates the victims static wear leveling identified.

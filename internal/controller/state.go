@@ -101,9 +101,9 @@ func (c *Controller) checkQuiescent() error {
 	if len(c.condemned) != 0 {
 		return fmt.Errorf("controller: %d condemned blocks awaiting relocation", len(c.condemned))
 	}
-	if c.buffer != nil && (c.buffer.used != 0 || len(c.buffer.waiting) != 0) {
+	if c.buffer != nil && (c.buffer.used != 0 || c.buffer.waiting.Len() != 0) {
 		return fmt.Errorf("controller: write buffer holds %d pages, %d writes stalled",
-			c.buffer.used, len(c.buffer.waiting))
+			c.buffer.used, c.buffer.waiting.Len())
 	}
 	return nil
 }

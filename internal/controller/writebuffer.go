@@ -1,6 +1,9 @@
 package controller
 
-import "eagletree/internal/iface"
+import (
+	"eagletree/internal/iface"
+	"eagletree/internal/osched"
+)
 
 // writeBuffer models the battery-backed-RAM write buffer module the paper
 // suggests as a controller extension: application writes are absorbed at RAM
@@ -10,7 +13,9 @@ import "eagletree/internal/iface"
 type writeBuffer struct {
 	capacity int
 	used     int
-	waiting  []*iface.Request // writes stalled on a full buffer
+	// waiting holds the writes stalled on a full buffer in arrival order.
+	// The OS FIFO is exactly that queue, and it reuses its backing array.
+	waiting osched.FIFO
 }
 
 func newWriteBuffer(capacity int) *writeBuffer {
@@ -21,7 +26,7 @@ func newWriteBuffer(capacity int) *writeBuffer {
 func (c *Controller) bufferWrite(r *iface.Request) {
 	if c.buffer.used >= c.buffer.capacity {
 		c.counters.BufferStalls++
-		c.buffer.waiting = append(c.buffer.waiting, r)
+		c.buffer.waiting.Push(r)
 		return
 	}
 	c.absorb(r)
@@ -68,9 +73,7 @@ func (c *Controller) flushDone(arg any) {
 // onFlushDone frees a buffer slot and admits a stalled write, if any.
 func (c *Controller) onFlushDone() {
 	c.buffer.used--
-	if len(c.buffer.waiting) > 0 {
-		next := c.buffer.waiting[0]
-		c.buffer.waiting = c.buffer.waiting[1:]
+	if next := c.buffer.waiting.Pop(0); next != nil {
 		c.absorb(next)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"eagletree/internal/flash"
+	"eagletree/internal/sim"
 )
 
 // Stream identifies a write frontier. Each (LUN, stream) pair fills its own
@@ -433,6 +434,47 @@ func (bm *BlockManager) VictimCandidates(lun int, fn func(b flash.BlockID, meta 
 			Bad:        false,
 		})
 	}
+}
+
+// YoungIdleVictims selects static wear-leveling victims in one walk of the
+// LUN's metadata columns. Among the blocks VictimCandidates would visit, it
+// considers those holding valid pages whose erase count is at most maxErase
+// and whose last erase lies more than idle before now, and keeps the
+// len(picks) of them with the fewest erases, ties toward the lowest block
+// index — the prefix a stable sort of every such block by erase count would
+// yield. The block indexes land in picks[:n] in that order and n is
+// returned; the buffer is the caller's, so the scan allocates nothing.
+//
+//eagletree:hotpath
+func (bm *BlockManager) YoungIdleVictims(lun int, maxErase float64, now sim.Time, idle sim.Duration, picks []int) int {
+	cols := bm.array.Columns()
+	open := bm.luns[lun].openMask
+	base := lun * bm.geo.BlocksPerLUN
+	k, n := len(picks), 0
+	for blk := bm.reservedTrans; blk < bm.geo.BlocksPerLUN; blk++ {
+		i := base + blk
+		if cols.Bad[i] || cols.WritePtr[i] == 0 || cols.ValidPages[i] == 0 || open[blk>>6]&(1<<(uint(blk)&63)) != 0 {
+			continue
+		}
+		ec := cols.EraseCount[i]
+		if float64(ec) > maxErase || now.Sub(cols.LastErase[i]) <= idle {
+			continue
+		}
+		if n == k && (k == 0 || ec >= cols.EraseCount[base+picks[k-1]]) {
+			continue // no better than the worst kept pick
+		}
+		j := n
+		if n < k {
+			n++
+		} else {
+			j = k - 1 // evicts the worst kept pick
+		}
+		for ; j > 0 && cols.EraseCount[base+picks[j-1]] > ec; j-- {
+			picks[j] = picks[j-1]
+		}
+		picks[j] = blk
+	}
+	return n
 }
 
 // MinValidVictim returns the GC victim a greedy linear scan over

@@ -17,26 +17,47 @@ type Policy interface {
 
 // FIFO issues requests strictly in submission order — the paper's default OS
 // scheduling strategy.
+//
+// Live entries are items[head:]. Pop advances head instead of reslicing the
+// front away, which would strand the backing array's capacity and make
+// almost every later Push allocate a new one. The queue rewinds when it
+// drains, and Push slides the live entries down when the array is full and
+// at least half dead, so a queue that never empties still reuses one array.
 type FIFO struct {
 	items []*iface.Request
+	head  int
 }
 
 // Name implements Policy.
 func (*FIFO) Name() string { return "os-fifo" }
 
 // Push implements Policy.
-func (f *FIFO) Push(r *iface.Request) { f.items = append(f.items, r) }
+//
+//eagletree:hotpath
+func (f *FIFO) Push(r *iface.Request) {
+	if f.head > 0 && len(f.items) == cap(f.items) && 2*f.head >= len(f.items) {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
+	}
+	f.items = append(f.items, r)
+}
 
 // Len implements Policy.
-func (f *FIFO) Len() int { return len(f.items) }
+func (f *FIFO) Len() int { return len(f.items) - f.head }
 
 // Pop implements Policy.
+//
+//eagletree:hotpath
 func (f *FIFO) Pop(sim.Time) *iface.Request {
-	if len(f.items) == 0 {
+	if f.head == len(f.items) {
 		return nil
 	}
-	r := f.items[0]
-	f.items = f.items[1:]
+	r := f.items[f.head]
+	f.items[f.head] = nil
+	if f.head++; f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	}
 	return r
 }
 

@@ -92,3 +92,48 @@ func BenchmarkSchedPop(b *testing.B) {
 		})
 	}
 }
+
+// TestClassParkReusesList drives one wait-class as a long-lived queue: each
+// round parks a new arrival at the back and serves the head, so the list
+// never empties while its head keeps advancing. Parking must slide the live
+// entries down rather than grow the list, keep them in arrival order, and
+// allocate nothing once the list has its working size.
+func TestClassParkReusesList(t *testing.T) {
+	const live = 5
+	var q queue
+	g := &lunGate{}
+	reqs := make([]*iface.Request, 64)
+	for i := range reqs {
+		reqs[i] = &iface.Request{ID: uint64(i)}
+	}
+	seq := uint64(0)
+	park := func() {
+		q.classPark(0, qent{reqs[seq%uint64(len(reqs))], seq}, g)
+		seq++
+	}
+	for i := 0; i < live; i++ {
+		park()
+	}
+	round := func() {
+		park()
+		cl := &q.classes[0]
+		want := seq - live - 1
+		if got := cl.ents[cl.head].seq; got != want {
+			t.Fatalf("head seq %d, want %d", got, want)
+		}
+		q.classRemoveAt(0, cl.head)
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("%.2f allocs per park+serve round, want 0", allocs)
+	}
+	cl := &q.classes[0]
+	if n := len(cl.ents) - cl.head; n != live {
+		t.Fatalf("%d live entries, want %d", n, live)
+	}
+	if c := cap(cl.ents); c > 4*live {
+		t.Fatalf("class list capacity grew to %d for %d live entries", c, live)
+	}
+}

@@ -532,6 +532,14 @@ func (q *queue) classPark(ci int, e qent, g Gate) {
 		}
 		q.occupied = append(q.occupied, ci)
 	}
+	if cl.head > 0 && len(cl.ents) == cap(cl.ents) && 2*cl.head >= len(cl.ents) {
+		// Slide the live entries down instead of letting append grow a
+		// list whose front is mostly dead: long-lived classes then keep
+		// one backing array. Indexes relative to head are unchanged.
+		n := copy(cl.ents, cl.ents[cl.head:])
+		clear(cl.ents[n:])
+		cl.ents, cl.head = cl.ents[:n], 0
+	}
 	if n := len(cl.ents); n == cl.head || cl.ents[n-1].seq < e.seq {
 		cl.ents = append(cl.ents, e)
 	} else {

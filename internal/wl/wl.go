@@ -66,11 +66,26 @@ type Leveler struct {
 	migrated  uint64
 	totalEr   uint64 // running erase count the leveler has observed
 	observedA float64
+
+	// Scan buffers, reused by every Victims call: one LUN's picks
+	// (MaxMigrationsPerScan block indexes) and the result.
+	pick []int
+	out  []flash.BlockID
 }
 
 // NewLeveler builds a leveler over the block manager's data region.
 func NewLeveler(bm *ftl.BlockManager, cfg Config) *Leveler {
-	return &Leveler{cfg: cfg, bm: bm, nLUN: bm.LUNs()}
+	k := cfg.MaxMigrationsPerScan
+	if k <= 0 {
+		k = 1
+	}
+	return &Leveler{
+		cfg:  cfg,
+		bm:   bm,
+		nLUN: bm.LUNs(),
+		pick: make([]int, k),
+		out:  make([]flash.BlockID, 0, k*bm.LUNs()),
+	}
 }
 
 // Config returns the active configuration.
@@ -106,19 +121,25 @@ func (l *Leveler) RestoreState(st LevelerState) {
 // Victims scans every LUN and returns the blocks static wear leveling should
 // migrate now: blocks at least AgeSlack erases younger than the mean whose
 // last erase is more than IdleFactor mean-erase-intervals ago. At most
-// MaxMigrationsPerScan blocks are returned per LUN, fewest-erase first.
+// MaxMigrationsPerScan blocks are returned per LUN, fewest-erase first, ties
+// toward the lowest block index. The returned slice is the leveler's own and
+// is valid until the next call.
+//
+//eagletree:hotpath
 func (l *Leveler) Victims(now sim.Time) []flash.BlockID {
 	if !l.cfg.Static {
 		return nil
 	}
 	l.scans++
-	var out []flash.BlockID
+	out := l.out[:0]
 	for lun := 0; lun < l.nLUN; lun++ {
 		out = l.victimsForLUN(lun, now, out)
 	}
+	l.out = out
 	return out
 }
 
+//eagletree:hotpath
 func (l *Leveler) victimsForLUN(lun int, now sim.Time, out []flash.BlockID) []flash.BlockID {
 	// First pass: erase-count statistics over every block in the LUN's data
 	// region — a single walk of the erase-count column. Free blocks carry
@@ -137,32 +158,12 @@ func (l *Leveler) victimsForLUN(lun int, now sim.Time, out []flash.BlockID) []fl
 	avgInterval := float64(now) / (meanErase + 1)
 	idleCutoff := sim.Duration(l.cfg.IdleFactor * avgInterval)
 
-	type scored struct {
-		b  flash.BlockID
-		ec int
+	// Second pass: the young, idle, live candidates with the fewest erases.
+	picked := l.bm.YoungIdleVictims(lun, meanErase-float64(l.cfg.AgeSlack), now, idleCutoff, l.pick)
+	for _, blk := range l.pick[:picked] {
+		out = append(out, flash.BlockID{LUN: lun, Block: blk})
 	}
-	var picks []scored
-	l.bm.VictimCandidates(lun, func(b flash.BlockID, meta flash.BlockMeta) {
-		young := float64(meta.EraseCount) <= meanErase-float64(l.cfg.AgeSlack)
-		idle := now.Sub(meta.LastErase) > idleCutoff
-		if young && idle && meta.ValidPages > 0 {
-			picks = append(picks, scored{b, meta.EraseCount})
-		}
-	})
-	// Fewest erases first; stable order by block index from VictimCandidates.
-	for i := 1; i < len(picks); i++ {
-		for j := i; j > 0 && picks[j].ec < picks[j-1].ec; j-- {
-			picks[j], picks[j-1] = picks[j-1], picks[j]
-		}
-	}
-	max := l.cfg.MaxMigrationsPerScan
-	if max <= 0 {
-		max = 1
-	}
-	for i := 0; i < len(picks) && i < max; i++ {
-		out = append(out, picks[i].b)
-		l.migrated++
-	}
+	l.migrated += uint64(picked)
 	return out
 }
 

@@ -32,6 +32,10 @@ var (
 // when the thread starts; OnComplete is triggered every time an IO
 // originating from the thread completes. Within both, the thread may issue
 // any number of new IOs through the Ctx.
+//
+// The request passed to OnComplete is valid only until OnComplete returns:
+// the Runner then recycles it for a later Submit. A thread that needs a
+// completed request's fields afterwards must copy them.
 type Thread interface {
 	Init(ctx *Ctx)
 	OnComplete(ctx *Ctx, r *iface.Request)
@@ -61,25 +65,44 @@ func (c *Ctx) InFlight() int { return c.entry.inFlight }
 // Issued returns how many IOs the thread has submitted so far.
 func (c *Ctx) Issued() uint64 { return c.entry.issued }
 
-// Submit issues one IO with explicit tags and returns the request.
+// Submit issues one IO with explicit tags and returns the request. The
+// request comes from the Runner's pool and belongs to the stack until the
+// IO completes; it stays valid until the thread's OnComplete for it
+// returns, after which the Runner reuses it. Do not keep it beyond that.
+//
+//eagletree:hotpath
 func (c *Ctx) Submit(t iface.ReqType, lpn iface.LPN, tags iface.Tags) *iface.Request {
 	if c.entry.finished {
-		panic(fmt.Sprintf("workload: thread %d submitted an IO after finishing", c.entry.id))
+		c.submitAfterFinish()
 	}
-	c.runner.nextID++
-	r := &iface.Request{
-		ID:        c.runner.nextID,
+	run := c.runner
+	run.nextID++
+	var r *iface.Request
+	if n := len(run.free); n > 0 {
+		r = run.free[n-1]
+		run.free = run.free[:n-1]
+	} else {
+		r = &iface.Request{}
+	}
+	*r = iface.Request{
+		ID:        run.nextID,
 		Type:      t,
 		LPN:       lpn,
 		Source:    iface.SourceApp,
 		Thread:    c.entry.id,
 		Tags:      tags,
-		Submitted: c.runner.eng.Now(),
+		Submitted: run.eng.Now(),
 	}
 	c.entry.inFlight++
 	c.entry.issued++
-	c.runner.os.Submit(r)
+	run.os.Submit(r)
 	return r
+}
+
+// submitAfterFinish reports a Submit from a finished thread; it lives
+// outside Submit to keep fmt off the hot path.
+func (c *Ctx) submitAfterFinish() {
+	panic(fmt.Sprintf("workload: thread %d submitted an IO after finishing", c.entry.id))
 }
 
 // Read issues an untagged read.
@@ -170,6 +193,10 @@ type Runner struct {
 
 	entries []*entry
 	active  int
+
+	// free recycles application requests: deliver returns each one here
+	// once its thread's OnComplete has returned, and Submit reuses it.
+	free []*iface.Request
 
 	// OnAllDone, if set, fires when the last registered thread finishes.
 	OnAllDone func()
@@ -264,11 +291,14 @@ func (r *Runner) launch(e *entry) {
 	})
 }
 
+// deliver routes a completion to its thread, then takes the request back
+// into the pool: from here on no layer holds it.
 func (r *Runner) deliver(e *entry, req *iface.Request) {
 	e.inFlight--
 	if !e.finished {
 		e.t.OnComplete(e.ctx, req)
 	}
+	r.free = append(r.free, req)
 	r.maybeFinalize(e)
 }
 
